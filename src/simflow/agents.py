@@ -245,7 +245,7 @@ def initialize_agents(problem, model, params, n, seed=0):
     return agents
 
 
-def step_agents(agents, model, params, radius, step, seed=0, partitions=1):
+def step_agents(agents, model, params, radius, step, seed=0):
     """One evolution step: neighbor rebuild, then rules in declared order."""
     pairs = neighbor_pairs(agents.positions(), agents.lows(), agents.extents(), radius)
     neighbors = neighbor_lists(agents.n, pairs, model.include_self)
@@ -254,22 +254,15 @@ def step_agents(agents, model, params, radius, step, seed=0, partitions=1):
         if rule is None:
             raise AgentError(f"execution order names unknown rule '{rule_name}'")
         snapshot = {k: v.copy() for k, v in agents.props.items()}
-        for block in _partition(agents.n, partitions):
-            for a in block:
-                stream = DrawStream(seed, _PHASE_RULE, step, rule_index, a)
-                ctx = AgentContext(agents, snapshot, neighbors, a, params, stream,
-                                   phase=rule.kind, iteration=step)
-                try:
-                    alg.run_algorithm(rule.algorithm, ctx)
-                except expr.EvaluationError as exc:
-                    raise AgentError(
-                        f"rule '{rule_name}' failed at agent {a}: {exc}") from exc
-
-
-def _partition(n, parts):
-    parts = max(1, int(parts))
-    bounds = [n * k // parts for k in range(parts + 1)]
-    return [range(bounds[k], bounds[k + 1]) for k in range(parts)]
+        for a in range(agents.n):
+            stream = DrawStream(seed, _PHASE_RULE, step, rule_index, a)
+            ctx = AgentContext(agents, snapshot, neighbors, a, params, stream,
+                               phase=rule.kind, iteration=step)
+            try:
+                alg.run_algorithm(rule.algorithm, ctx)
+            except expr.EvaluationError as exc:
+                raise AgentError(
+                    f"rule '{rule_name}' failed at agent {a}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +279,9 @@ class SpatialRunReport:
                 "outputs": list(self.outputs)}
 
 
-def run_spatial_problem(problem, model, config, partitions=None):
+def run_spatial_problem(problem, model, config):
     """Execute a spatial problem; CSV snapshot per step plus order.csv."""
     seed = config.seed
-    if partitions is None:
-        partitions = config.workers
     n = int(config.get("n_agents", problem.n_agents))
     if n <= 0:
         raise AgentError("agent count must be positive")
@@ -313,7 +304,7 @@ def run_spatial_problem(problem, model, config, partitions=None):
         if step >= config.max_steps:
             raise AgentError(f"finalization never satisfied within {config.max_steps} steps")
         radius = params[model.interaction_radius]
-        step_agents(agents, model, params, radius, step, seed, partitions)
+        step_agents(agents, model, params, radius, step, seed)
         step += 1
         outputs.append(str(_write_snapshot(agents, out_dir, step)))
         if "theta" in agents.props:

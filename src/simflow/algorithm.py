@@ -4,11 +4,11 @@ Algorithms appear in initial conditions and in ABM gather/update rules.
 Statements are stored in documents as tagged JSON objects; expressions
 inside them use the infix grammar from :mod:`simflow.expr`.
 
-Supported statement kinds: assign, if, while, iterate_over_edges,
-iterate_over_interactions, iterate_over_vertices, iterate_over_agents,
-iterate_over_cells.  Tags belonging to out-of-scope model families
-(flux, sources, boundary, increment/decrement coordinate) are parsed into
-an Unsupported node so validation can report them clearly.
+Supported statement kinds: assign, if, while, iterate_over_edges (graph
+models) and iterate_over_interactions (spatial models).  Tags belonging
+to out-of-scope model families (flux, sources, boundary,
+increment/decrement coordinate) are parsed into an Unsupported node so
+validation can report them clearly; any other tag fails to load.
 """
 
 from __future__ import annotations
@@ -80,14 +80,6 @@ class IterateOverInteractions:
 
 
 @dataclass(frozen=True)
-class IterateOverEntities:
-    """iterate_over_vertices / _agents / _cells, disambiguated by `what`."""
-
-    what: str  # 'vertices' | 'agents' | 'cells'
-    body: tuple
-
-
-@dataclass(frozen=True)
 class Unsupported:
     tag: str
 
@@ -137,9 +129,6 @@ def _stmt_from_json(obj, symbols):
     if tag == "iterate_over_interactions":
         body = tuple(_stmt_from_json(s, symbols) for s in obj.get("body", []))
         return IterateOverInteractions(body)
-    if tag in ("iterate_over_vertices", "iterate_over_agents", "iterate_over_cells"):
-        body = tuple(_stmt_from_json(s, symbols) for s in obj.get("body", []))
-        return IterateOverEntities(tag.split("_")[-1], body)
     raise AlgorithmError(f"unsupported tag '{tag}'")
 
 
@@ -181,8 +170,6 @@ def _stmt_to_json(s):
                 "body": [_stmt_to_json(x) for x in s.body]}
     if isinstance(s, IterateOverInteractions):
         return {"do": "iterate_over_interactions", "body": [_stmt_to_json(x) for x in s.body]}
-    if isinstance(s, IterateOverEntities):
-        return {"do": f"iterate_over_{s.what}", "body": [_stmt_to_json(x) for x in s.body]}
     if isinstance(s, Unsupported):
         return {"do": s.tag}
     raise TypeError(f"not a statement: {s!r}")
@@ -210,9 +197,6 @@ def _needs_neighbors(statements):
         elif isinstance(s, While):
             if _expr_touches_neighbors(s.cond) or _needs_neighbors(s.body):
                 return True
-        elif isinstance(s, IterateOverEntities):
-            if _needs_neighbors(s.body):
-                return True
     return False
 
 
@@ -233,7 +217,7 @@ def _collect_unsupported(statements, out):
         elif isinstance(s, IfThenElse):
             _collect_unsupported(s.then, out)
             _collect_unsupported(s.orelse, out)
-        elif isinstance(s, (While, IterateOverEdges, IterateOverInteractions, IterateOverEntities)):
+        elif isinstance(s, (While, IterateOverEdges, IterateOverInteractions)):
             _collect_unsupported(s.body, out)
 
 
@@ -246,7 +230,7 @@ def assigned_locals(statements):
         elif isinstance(s, IfThenElse):
             out |= assigned_locals(s.then)
             out |= assigned_locals(s.orelse)
-        elif isinstance(s, (While, IterateOverEdges, IterateOverInteractions, IterateOverEntities)):
+        elif isinstance(s, (While, IterateOverEdges, IterateOverInteractions)):
             out |= assigned_locals(s.body)
     return out
 
@@ -274,8 +258,6 @@ class Context:
     def iter_interactions(self):
         raise PhaseError("interaction iteration is not available in this context")
 
-    def iter_entities(self, what):
-        raise PhaseError(f"iteration over {what} is not available in this context")
 
 
 class _Frame:
@@ -356,9 +338,6 @@ def _exec_block(statements, ctx, frame, while_cap):
                 _exec_block(s.body, ctx, frame, while_cap)
         elif isinstance(s, IterateOverInteractions):
             for _ in ctx.iter_interactions():
-                _exec_block(s.body, ctx, frame, while_cap)
-        elif isinstance(s, IterateOverEntities):
-            for _ in ctx.iter_entities(s.what):
                 _exec_block(s.body, ctx, frame, while_cap)
         elif isinstance(s, Unsupported):
             raise AlgorithmError(f"unsupported tag '{s.tag}' cannot be executed")

@@ -14,7 +14,9 @@ import os
 import sys
 from pathlib import Path
 
+from . import algorithm as alg
 from . import documents as docs
+from . import expr
 from .agents import AgentError, run_spatial_problem
 from .graphs import GraphError, generate_graph, run_graph_problem, save_edge_list, write_dot
 from .grid import GridRuntimeError, run as run_grid
@@ -54,7 +56,6 @@ def _build_parser():
     p.add_argument("--params", help="problem.input parameter file")
     p.add_argument("--policy", help="discretization policy (PDE problems)")
     p.add_argument("-o", "--output", help="output directory")
-    p.add_argument("--workers", type=int, help="parallel partition count")
     p.add_argument("--seed", type=int, help="random seed override")
 
     p = sub.add_parser("export-latex", help="render a document as LaTeX")
@@ -139,7 +140,7 @@ def _cmd_discretize(args):
 def _cmd_run(args):
     doc = docs.load_document(args.document)
     config = RunConfig(parse_input_file(args.params) if args.params else {},
-                       output_dir=args.output, workers=args.workers, seed=args.seed)
+                       output_dir=args.output, seed=args.seed)
     docs_dir = _docs_dir(args, args.document)
 
     if isinstance(doc, docs.DiscretizedProblem):
@@ -210,7 +211,8 @@ def main(argv=None):
     except (docs.DocumentError, LoweringError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (GridRuntimeError, GraphError, AgentError, ParamError, OSError) as exc:
+    except (GridRuntimeError, GraphError, AgentError, ParamError, OSError,
+            expr.ExprError, alg.AlgorithmError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

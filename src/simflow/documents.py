@@ -792,8 +792,7 @@ def _assigned_fields(statements):
         elif isinstance(s, alg.IfThenElse):
             out |= _assigned_fields(s.then)
             out |= _assigned_fields(s.orelse)
-        elif isinstance(s, (alg.While, alg.IterateOverEdges,
-                            alg.IterateOverInteractions, alg.IterateOverEntities)):
+        elif isinstance(s, (alg.While, alg.IterateOverEdges, alg.IterateOverInteractions)):
             out |= _assigned_fields(s.body)
     return out
 
@@ -815,12 +814,6 @@ def _validate_policy(policy):
         diags.append(Diagnostic("error", "time_integration",
                                 "dissipation order must be >= 1"))
     return diags
-
-
-def _family_statement_ok(family):
-    if family == "graph":
-        return {alg.IterateOverEdges, alg.IterateOverEntities}
-    return {alg.IterateOverInteractions, alg.IterateOverEntities}
 
 
 def _check_family_statements(statements, family, path, diags):
@@ -1017,9 +1010,6 @@ def _latex_algorithm(a, indent=0):
             lines += _latex_algorithm(s.body, indent + 1)
         elif isinstance(s, alg.IterateOverInteractions):
             lines.append(pad + r"\textbf{for each interaction}\\")
-            lines += _latex_algorithm(s.body, indent + 1)
-        elif isinstance(s, alg.IterateOverEntities):
-            lines.append(pad + r"\textbf{for each " + s.what + r"}\\")
             lines += _latex_algorithm(s.body, indent + 1)
     return lines
 

@@ -4,8 +4,7 @@ Vertices carry named float properties; rules from a graph model run
 against them in two phases per step: gather rules may read neighbours
 through edge iteration, update rules are strictly vertex-local.  Every
 rule sees a snapshot of all properties taken when the rule starts, so
-neighbour reads are order-independent and partitioned execution is
-bitwise identical to serial execution.
+neighbour reads are independent of the vertex visiting order.
 
 Randomness is keyed on (seed, phase, step, rule index, vertex), never on
 call order across vertices.
@@ -308,39 +307,30 @@ def initialize_properties(graph, problem, params, seed=0):
     return live
 
 
-def step_graph(graph, model, live, params, step, seed=0, mode="all", partitions=1):
+def step_graph(graph, model, live, params, step, seed=0, mode="all"):
     """One evolution step: every rule in execution order over the vertices.
 
     ``mode='one'`` runs the rule sequence on a single keyed-random vertex.
-    ``partitions`` only changes the vertex visiting order (contiguous
-    blocks); results are bitwise independent of it.
     """
     if mode == "one":
-        vertex_sets = [[keyed_int(graph.n, seed, _PHASE_PICK, step)]]
+        vertices = [keyed_int(graph.n, seed, _PHASE_PICK, step)]
     else:
-        vertex_sets = _partition(graph.n, partitions)
+        vertices = range(graph.n)
     for rule_index, rule_name in enumerate(model.execution_order):
         rule = model.rule_by_name(rule_name)
         if rule is None:
             raise GraphError(f"execution order names unknown rule '{rule_name}'")
         snapshot = {p: live[p].copy() for p in live}
         phase = rule.kind
-        for block in vertex_sets:
-            for v in block:
-                stream = DrawStream(seed, _PHASE_RULE, step, rule_index, v)
-                ctx = VertexContext(graph, live, snapshot, v, params, stream,
-                                    phase=phase, iteration=step)
-                try:
-                    alg.run_algorithm(rule.algorithm, ctx)
-                except expr.EvaluationError as exc:
-                    raise GraphError(
-                        f"rule '{rule_name}' failed at vertex {v}: {exc}") from exc
-
-
-def _partition(n, parts):
-    parts = max(1, int(parts))
-    bounds = [n * k // parts for k in range(parts + 1)]
-    return [range(bounds[k], bounds[k + 1]) for k in range(parts)]
+        for v in vertices:
+            stream = DrawStream(seed, _PHASE_RULE, step, rule_index, v)
+            ctx = VertexContext(graph, live, snapshot, v, params, stream,
+                                phase=phase, iteration=step)
+            try:
+                alg.run_algorithm(rule.algorithm, ctx)
+            except expr.EvaluationError as exc:
+                raise GraphError(
+                    f"rule '{rule_name}' failed at vertex {v}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +347,7 @@ class GraphRunReport:
                 "outputs": list(self.outputs)}
 
 
-def run_graph_problem(problem, model, config, partitions=None):
+def run_graph_problem(problem, model, config):
     """Execute a graph problem; writes one DOT file per completed step."""
     spec = problem.graph
     if config.get("number_of_vertices") is not None:
@@ -365,8 +355,6 @@ def run_graph_problem(problem, model, config, partitions=None):
     if config.get("number_of_edges") is not None:
         spec.edges = int(config.get("number_of_edges"))
     seed = config.seed
-    if partitions is None:
-        partitions = config.workers
 
     graph = generate_graph(spec, seed)
     params = problem.parameter_values(config.scalar_overrides)
@@ -384,8 +372,7 @@ def run_graph_problem(problem, model, config, partitions=None):
     while not finalized(step):
         if step >= config.max_steps:
             raise GraphError(f"finalization never satisfied within {config.max_steps} steps")
-        step_graph(graph, model, live, params, step, seed,
-                   mode=problem.evolution_step, partitions=partitions)
+        step_graph(graph, model, live, params, step, seed, mode=problem.evolution_step)
         step += 1
         path = out_dir / f"graph_{step}.dot"
         write_dot(graph, live, path)

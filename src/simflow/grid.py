@@ -1,10 +1,10 @@
 """Structured periodic grid executor for kernel programs.
 
-Cell-centered grids with ghost layers, periodic halo exchange, the RK3
-time loop, legacy-VTK output, and domain decomposition.  Decomposed runs
-are bitwise identical to serial runs: all field updates are elementwise
-numpy operations, stencil accumulation order is fixed, and initial-data
-randomness is keyed on global cell indices.
+One cell-centered grid with ghost layers, periodic halo exchange, the
+time loop (stepped by :func:`simflow.kernel.rk3_step`) and legacy-VTK
+output.  A fixed seed reproduces every output byte: field updates are
+elementwise numpy operations, stencil accumulation order is fixed, and
+initial-data randomness is keyed on the row-major cell index.
 """
 
 from __future__ import annotations
@@ -34,25 +34,17 @@ def _fmt(v):
 
 @dataclass
 class Grid:
-    """One (sub)domain: interior cells plus ghost layers of width halo.
-
-    ``offsets`` are the global indices of the first interior cell per
-    axis, so subdomain coordinates and RNG keys match the serial run.
-    """
+    """Interior cells plus ghost layers of width halo."""
 
     axes: list
     counts: tuple            # interior cells per axis
-    global_counts: tuple
-    bounds: dict             # axis -> (lo, hi) of the global domain
+    bounds: dict             # axis -> (lo, hi) of the domain
     halo: int
-    offsets: tuple = None
     data: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.offsets is None:
-            self.offsets = tuple(0 for _ in self.counts)
         self.dx = tuple((self.bounds[a][1] - self.bounds[a][0]) / n
-                        for a, n in zip(self.axes, self.global_counts))
+                        for a, n in zip(self.axes, self.counts))
 
     @property
     def ndim(self):
@@ -77,7 +69,7 @@ class Grid:
         a = self.axes[d]
         lo = self.bounds[a][0]
         idx = np.arange(self.counts[d] + 2 * self.halo, dtype=np.float64)
-        return lo + (idx - self.halo + self.offsets[d] + 0.5) * self.dx[d]
+        return lo + (idx - self.halo + 0.5) * self.dx[d]
 
     def coord_arrays(self):
         """Broadcastable padded coordinate arrays, one per axis."""
@@ -94,7 +86,7 @@ def make_grid(axes, counts, bounds, halo):
     for a, n in zip(axes, counts):
         if halo > n:
             raise GridRuntimeError(f"halo {halo} wider than interior ({n} cells) on axis {a}")
-    return Grid(list(axes), counts, counts, dict(bounds), halo)
+    return Grid(list(axes), counts, dict(bounds), halo)
 
 
 def exchange_halos(grid):
@@ -117,34 +109,6 @@ def exchange_halos(grid):
 
 def _axis_slice(ndim, d, sl):
     return tuple(sl if k == d else slice(None) for k in range(ndim))
-
-
-def exchange_halos_decomposed(subgrids, layout):
-    """Halo exchange across a cartesian arrangement of subdomains.
-
-    With layout (1,)*ndim this reduces exactly to :func:`exchange_halos`.
-    """
-    index = {g.part_index: g for g in subgrids}
-    ndim = subgrids[0].ndim
-    h = subgrids[0].halo
-    if h == 0:
-        return
-    for d in range(ndim):
-        for g in subgrids:
-            n = g.counts[d]
-            left_nb = index[_shift_index(g.part_index, d, -1, layout)]
-            right_nb = index[_shift_index(g.part_index, d, +1, layout)]
-            for f in g.data:
-                g.data[f][_axis_slice(ndim, d, slice(0, h))] = \
-                    left_nb.data[f][_axis_slice(ndim, d, slice(left_nb.counts[d], left_nb.counts[d] + h))]
-                g.data[f][_axis_slice(ndim, d, slice(n + h, n + 2 * h))] = \
-                    right_nb.data[f][_axis_slice(ndim, d, slice(h, 2 * h))]
-
-
-def _shift_index(idx, d, delta, layout):
-    out = list(idx)
-    out[d] = (out[d] + delta) % layout[d]
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +167,7 @@ def apply_initial_conditions(grid, problem, param_values, seed=0):
     Straight-line deterministic assignments are evaluated vectorized over
     the whole interior (bitwise identical to the per-cell path); anything
     with control flow or randomness falls back to per-cell interpretation
-    keyed on the global cell index.  Halos are exchanged once afterwards.
+    keyed on the row-major cell index.  Halos are exchanged once afterwards.
     """
     ic = problem.region.initial_condition
     statements = ic.statements
@@ -218,21 +182,13 @@ def apply_initial_conditions(grid, problem, param_values, seed=0):
             grid.data[s.target.name][inner] = np.broadcast_to(
                 value, grid.shape)[inner]
     else:
-        strides = _global_strides(grid.global_counts)
-        for local in np.ndindex(*grid.counts):
+        # np.ndindex runs in row-major order, so the position is the cell key
+        for key, local in enumerate(np.ndindex(*grid.counts)):
             cell = tuple(i + grid.halo for i in local)
-            gidx = sum((i + o) * s for i, o, s in zip(local, grid.offsets, strides))
-            stream = DrawStream(seed, _PHASE_INIT, gidx)
+            stream = DrawStream(seed, _PHASE_INIT, key)
             ctx = CellContext(grid, cell, param_values, stream, problem.time_coord)
             alg.run_algorithm(ic, ctx)
     exchange_halos(grid)
-
-
-def _global_strides(counts):
-    strides = [1] * len(counts)
-    for d in range(len(counts) - 2, -1, -1):
-        strides[d] = strides[d + 1] * counts[d + 1]
-    return strides
 
 
 # ---------------------------------------------------------------------------
@@ -372,50 +328,17 @@ class RunReport:
                 "outputs": list(self.outputs)}
 
 
-def _square_layout(workers, ndim):
-    """Near-square factorization of the worker count over the axes."""
-    layout = [1] * ndim
-    remaining = int(workers)
-    d = 0
-    while remaining > 1 and ndim > 0:
-        f = _largest_factor_le(remaining, round(remaining ** (1.0 / (ndim - d))) if d < ndim - 1 else remaining)
-        layout[d] = f
-        remaining //= f
-        d += 1
-        if d >= ndim:
-            layout[-1] *= remaining
-            remaining = 1
-    return tuple(layout)
+def _check_finite(grid, fields, step):
+    for f in fields:
+        if not np.all(np.isfinite(grid.interior(grid.data[f]))):
+            raise GridRuntimeError(f"non-finite values in field '{f}' at step {step}")
 
 
-def _largest_factor_le(n, target):
-    target = max(1, min(n, target))
-    for f in range(target, 0, -1):
-        if n % f == 0:
-            return f
-    return 1
-
-
-def run(problem, kernel, config, decomposition=None):
-    """Execute the time loop; returns a RunReport.
-
-    ``decomposition`` is a per-axis subdomain count; None derives it from
-    config.workers.  Any decomposition yields bitwise identical results.
-    """
+def run(problem, kernel, config):
+    """Execute the time loop; returns a RunReport."""
     axes = list(problem.spatial_coords)
-    ndim = len(axes)
-    counts = config.cells(ndim)
     bounds = problem.region.domain
-    if decomposition is None:
-        decomposition = _square_layout(config.workers, ndim)
-    decomposition = tuple(int(p) for p in decomposition)
-    for d, p in enumerate(decomposition):
-        if counts[d] % p != 0:
-            raise GridRuntimeError(
-                f"{p} subdomains do not divide {counts[d]} cells on axis {axes[d]}")
-        if counts[d] // p < kernel.halo:
-            raise GridRuntimeError(
-                f"subdomains on axis {axes[d]} are narrower than the halo ({kernel.halo})")
+    grid = make_grid(axes, config.cells(len(axes)), bounds, kernel.halo)
 
     params = problem.parameter_values(config.scalar_overrides)
     dt = config.dt
@@ -425,26 +348,21 @@ def run(problem, kernel, config, decomposition=None):
     if dt <= 0:
         raise GridRuntimeError("dt must be positive")
 
-    subgrids = []
-    for idx in np.ndindex(*decomposition):
-        local = tuple(counts[d] // decomposition[d] for d in range(ndim))
-        g = Grid(axes, local, tuple(counts), dict(bounds), kernel.halo,
-                 offsets=tuple(idx[d] * local[d] for d in range(ndim)))
-        g.part_index = idx
-        g.allocate(kernel.fields)
-        subgrids.append(g)
-
-    min_dx = min(subgrids[0].dx)
+    grid.allocate(kernel.fields)
+    min_dx = min(grid.dx)
     if dt > 0.5 * min_dx:
         warnings.warn(f"dt={dt} exceeds the CFL guidance 0.5*dx={0.5 * min_dx}")
 
-    for g in subgrids:
-        apply_initial_conditions(g, problem, params, config.seed)
-    exchange_halos_decomposed(subgrids, decomposition)
+    apply_initial_conditions(grid, problem, params, config.seed)
+    _check_finite(grid, kernel.fields, 0)
 
     time_coord = problem.time_coord
-    diss = [_dissipation_stencils(kernel, g) if kernel.has_dissipation else None
-            for g in subgrids]
+    diss = _dissipation_stencils(kernel, grid) if kernel.has_dissipation else None
+
+    def rhs(state, stage_t):
+        grid.data = state
+        exchange_halos(grid)
+        return evaluate_rhs(kernel, grid, params, stage_t, time_coord, diss)
 
     outputs = []
     out_dir = config.output_dir
@@ -454,11 +372,14 @@ def run(problem, kernel, config, decomposition=None):
         final_env.bindings[time_coord] = t
         return expr.evaluate(problem.finalization, final_env) != 0.0
 
+    def interiors():
+        return {f: grid.interior(grid.data[f]).copy() for f in kernel.fields}
+
     def dump(step):
-        fields = {f: _gather(subgrids, decomposition, f) for f in kernel.fields}
+        fields = interiors()
         for f in kernel.fields:
             path = out_dir / f"{f}_{step}.vtk"
-            write_vtk((axes, bounds, tuple(counts), {f: fields[f]}), path,
+            write_vtk((axes, bounds, grid.counts, {f: fields[f]}), path,
                       title=f"{f} step {step}")
             outputs.append(str(path))
         return fields
@@ -476,55 +397,12 @@ def run(problem, kernel, config, decomposition=None):
             last_dump = step
         if step >= config.max_steps:
             raise GridRuntimeError(f"finalization never satisfied within {config.max_steps} steps")
-        _advance(subgrids, decomposition, kernel, params, time_coord, diss, dt, t)
+        grid.data = rk3_step(grid.data, rhs, t, dt)
         step += 1
-        for g in subgrids:
-            for f in kernel.fields:
-                if not np.all(np.isfinite(g.interior(g.data[f]))):
-                    raise GridRuntimeError(f"non-finite values in field '{f}' at step {step}")
+        _check_finite(grid, kernel.fields, step)
 
-    if last_dump != step:
-        fields = dump(step)
-    else:
-        fields = {f: _gather(subgrids, decomposition, f) for f in kernel.fields}
+    fields = dump(step) if last_dump != step else interiors()
     ranges = {f: (float(fields[f].min()), float(fields[f].max())) for f in kernel.fields}
     report = RunReport(step, step * dt, ranges, outputs)
     report.final_fields = fields
     return report
-
-
-def _advance(subgrids, layout, kernel, params, time_coord, diss, dt, t):
-    """One SSP-RK3 step over all subgrids, stage-synchronous.
-
-    Every RHS evaluation is preceded by a collective halo exchange (a
-    barrier across subdomains), which keeps decomposed runs bitwise equal
-    to the serial one.  Increment form of the Shu-Osher scheme.
-    """
-    def all_rhs(stage_t):
-        exchange_halos_decomposed(subgrids, layout)
-        return [evaluate_rhs(kernel, g, params, stage_t, time_coord, diss[i])
-                for i, g in enumerate(subgrids)]
-
-    u0 = [{f: g.data[f].copy() for f in kernel.fields} for g in subgrids]
-    k1 = all_rhs(t)
-    for i, g in enumerate(subgrids):
-        for f in kernel.fields:
-            g.data[f] = u0[i][f] + dt * k1[i][f]
-    k2 = all_rhs(t + dt)
-    for i, g in enumerate(subgrids):
-        for f in kernel.fields:
-            g.data[f] = u0[i][f] + dt * (k1[i][f] + k2[i][f]) / 4.0
-    k3 = all_rhs(t + dt / 2.0)
-    for i, g in enumerate(subgrids):
-        for f in kernel.fields:
-            g.data[f] = u0[i][f] + dt * (k1[i][f] + k2[i][f] + 4.0 * k3[i][f]) / 6.0
-
-
-def _gather(subgrids, layout, fld):
-    ndim = subgrids[0].ndim
-    total = subgrids[0].global_counts
-    out = np.zeros(total)
-    for g in subgrids:
-        sl = tuple(slice(g.offsets[d], g.offsets[d] + g.counts[d]) for d in range(ndim))
-        out[sl] = g.interior(g.data[fld])
-    return out

@@ -184,17 +184,21 @@ def build_kernel(problem, policy, model):
     return discretized, kernel
 
 
-def rk3_step(state, rhs, dt):
-    """One SSP-RK3 step (Shu-Osher scheme in increment form).
+def rk3_step(state, rhs, t, dt):
+    """One SSP-RK3 step from time ``t`` (Shu-Osher scheme in increment form).
 
-    ``state`` maps field names to values/arrays; ``rhs`` maps a state dict
-    to the RHS dict and must be side-effect-free on its input.  Exactly
-    three RHS evaluations.  The increment arrangement keeps the state
-    bitwise unchanged when the RHS is identically zero.
+    ``state`` maps field names to values/arrays; ``rhs(state, stage_t)``
+    returns the RHS dict and is called exactly three times, at ``t``,
+    ``t + dt`` and ``t + dt/2``.  ``rhs`` may overwrite the ghost layers of
+    its input (the grid refills them from the interior); that is safe
+    because every ghost layer is refilled before it is read, so the
+    interior of the result does not depend on ghost contents.  The
+    increment arrangement keeps the state bitwise unchanged when the RHS
+    is identically zero.
     """
-    k1 = rhs(state)
+    k1 = rhs(state, t)
     s1 = {f: state[f] + dt * k1[f] for f in state}
-    k2 = rhs(s1)
+    k2 = rhs(s1, t + dt)
     s2 = {f: state[f] + dt * (k1[f] + k2[f]) / 4.0 for f in state}
-    k3 = rhs(s2)
+    k3 = rhs(s2, t + dt / 2.0)
     return {f: state[f] + dt * (k1[f] + k2[f] + 4.0 * k3[f]) / 6.0 for f in state}

@@ -9,7 +9,7 @@ optional trailing ``;``, and comma lists with or without brackets, e.g.::
     vertex_properties = ["state"]
 
 Every key is available as a document-parameter override; a handful of
-keys (dt, cells, seed, output_interval, workers, ...) also steer the
+keys (dt, cells, seed, output_interval, max_steps, ...) also steer the
 runtimes directly.
 """
 
@@ -70,12 +70,10 @@ def parse_input_file(path):
 class RunConfig:
     """Merged runtime options: parameter file values plus CLI overrides."""
 
-    def __init__(self, values=None, output_dir=None, workers=None, seed=None):
+    def __init__(self, values=None, output_dir=None, seed=None):
         self.values = dict(values or {})
         if output_dir is not None:
             self.values["output_dir"] = str(output_dir)
-        if workers is not None:
-            self.values["workers"] = int(workers)
         if seed is not None:
             self.values["seed"] = int(seed)
 
@@ -94,10 +92,6 @@ class RunConfig:
     @property
     def seed(self):
         return int(self.values.get("seed", 0))
-
-    @property
-    def workers(self):
-        return int(self.values.get("workers", 1))
 
     @property
     def output_dir(self):

@@ -1,10 +1,10 @@
 """Counter-based deterministic random numbers.
 
 Every random draw in a simulation is keyed on integers such as
-(seed, phase, step, rule index, entity id, draw counter), so serial and
-partitioned executions of the gather/update phases produce bitwise
-identical results, and any entity's stream can be regenerated in
-isolation.  The mixer is splitmix64 applied over the key sequence.
+(seed, phase, step, rule index, entity id, draw counter), so results do
+not depend on the order in which entities are visited, and any entity's
+stream can be regenerated in isolation.  The mixer is splitmix64 applied
+over the key sequence.
 """
 
 from __future__ import annotations

@@ -3,12 +3,10 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from simflow import library_path
 from simflow.cli import main
-from simflow.grid import read_vtk_cell_data
 
 LIBRARY = library_path()
 WAVE_PROBLEM = str(LIBRARY / "problems/wave_problem.json")
@@ -139,18 +137,45 @@ def test_run_flocking(tmp_path, capsys):
     assert (tmp_path / "f" / "order.csv").exists()
 
 
-def test_workers_do_not_change_vtk_output(tmp_path, capsys):
+def test_workers_flag_is_usage_error(tmp_path, capsys):
     params = write_params(tmp_path, "dt = 0.005\ncells = 20\ntend = 0.05\n")
-    for tag, workers in (("w1", "1"), ("w4", "4")):
-        assert cli("--docs", str(LIBRARY), "run", WAVE_PROBLEM, "--policy", WAVE_POLICY,
-                   "--params", params, "-o", str(tmp_path / tag),
-                   "--workers", workers) == 0
-    capsys.readouterr()
-    a = read_vtk_cell_data(tmp_path / "w1" / "phi_10.vtk")
-    b = read_vtk_cell_data(tmp_path / "w4" / "phi_10.vtk")
-    assert np.array_equal(a["phi"], b["phi"])
-    assert (tmp_path / "w1" / "phi_10.vtk").read_bytes() == \
-        (tmp_path / "w4" / "phi_10.vtk").read_bytes()
+    assert cli("--docs", str(LIBRARY), "run", WAVE_PROBLEM, "--policy", WAVE_POLICY,
+               "--params", params, "-o", str(tmp_path / "w"), "--workers", "4") == 64
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("statement", [
+    {"do": "assign", "target": "phi", "expr": "sqrt(-1 - $rnd_uniform)"},
+    {"do": "iterate_over_edges", "body": []},
+], ids=["evaluation-error", "phase-error"])
+def test_runtime_faults_exit_2_with_one_line(tmp_path, capsys, statement):
+    doc = json.loads(Path(WAVE_PROBLEM).read_text())
+    doc["region"]["initial_condition"] = [
+        {"do": "assign", "target": "phi", "expr": "0"},
+        {"do": "assign", "target": "K", "expr": "0"},
+        statement]
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(doc))
+    params = write_params(tmp_path, "dt = 0.005\ncells = 8\ntend = 0.01\n")
+    assert cli("--docs", str(LIBRARY), "run", str(problem), "--policy", WAVE_POLICY,
+               "--params", params, "-o", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tag", ["iterate_over_vertices", "iterate_over_agents",
+                                 "iterate_over_cells"])
+def test_entity_iteration_tags_rejected_by_validate(tmp_path, capsys, tag):
+    doc = json.loads((LIBRARY / "models/voter_model.json").read_text())
+    rule = doc["rules"]["update"][0]
+    rule["algorithm"] = [{"do": tag, "body": []}] + rule["algorithm"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert cli("validate", str(path)) == 1
+    assert f"unsupported tag '{tag}'" in capsys.readouterr().err
 
 
 def test_export_latex(tmp_path, capsys):

@@ -146,24 +146,16 @@ class TestVoterRules:
 
 
 class TestRunner:
-    def run(self, tmp_path, tag, partitions=None, seed=1):
+    def run(self, tmp_path, tag, seed=1):
         model, problem = voter_docs()
         config = RunConfig({"time_steps": 10}, output_dir=tmp_path / tag, seed=seed)
-        return graphs.run_graph_problem(problem, model, config, partitions=partitions)
+        return graphs.run_graph_problem(problem, model, config)
 
     def test_outputs_one_dot_per_step(self, tmp_path):
         report = self.run(tmp_path, "a")
         assert report.steps == 10
         assert [p.rsplit("/", 1)[-1] for p in report.outputs] == [
             f"graph_{k}.dot" for k in range(1, 11)]
-
-    def test_partitioning_is_bitwise_invisible(self, tmp_path):
-        serial = self.run(tmp_path, "p1", partitions=1)
-        split = self.run(tmp_path, "p4", partitions=4)
-        for p in serial.properties:
-            assert np.array_equal(serial.properties[p], split.properties[p])
-        for a, b in zip(serial.outputs, split.outputs):
-            assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_fixed_seed_repeats_bitwise(self, tmp_path):
         a = self.run(tmp_path, "r1", seed=5)

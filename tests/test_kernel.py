@@ -134,15 +134,15 @@ class TestBuildKernel:
 class TestRk3:
     def test_exponential_decay_single_step(self):
         lam = -0.1
-        out = kernel.rk3_step({"u": 1.0}, lambda s: {"u": lam * s["u"]}, 1.0)
+        out = kernel.rk3_step({"u": 1.0}, lambda s, t: {"u": lam * s["u"]}, 0.0, 1.0)
         assert abs(out["u"] - math.exp(lam)) < 1e-4
 
     def test_third_order_convergence(self):
         def integrate(n):
             u = {"u": 1.0}
             dt = 1.0 / n
-            for _ in range(n):
-                u = kernel.rk3_step(u, lambda s: {"u": -s["u"]}, dt)
+            for k in range(n):
+                u = kernel.rk3_step(u, lambda s, t: {"u": -s["u"]}, k * dt, dt)
             return abs(u["u"] - math.exp(-1.0))
 
         ratio = integrate(20) / integrate(40)
@@ -150,15 +150,25 @@ class TestRk3:
 
     def test_zero_rhs_is_bitwise_identity(self):
         state = {"u": 0.1 + 0.2}  # deliberately non-representable sum
-        out = kernel.rk3_step(state, lambda s: {"u": 0.0}, 0.125)
+        out = kernel.rk3_step(state, lambda s, t: {"u": 0.0}, 0.0, 0.125)
         assert out["u"] == state["u"]
 
     def test_exactly_three_rhs_evaluations(self):
         calls = []
 
-        def rhs(s):
+        def rhs(s, t):
             calls.append(dict(s))
             return {"u": 1.0}
 
-        kernel.rk3_step({"u": 0.0}, rhs, 0.5)
+        kernel.rk3_step({"u": 0.0}, rhs, 0.0, 0.5)
         assert len(calls) == 3
+
+    def test_stage_times(self):
+        times = []
+
+        def rhs(s, t):
+            times.append(t)
+            return {"u": 0.0}
+
+        kernel.rk3_step({"u": 0.0}, rhs, 2.0, 0.5)
+        assert times == [2.0, 2.5, 2.25]

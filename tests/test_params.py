@@ -38,16 +38,14 @@ def test_missing_equals():
 def test_config_defaults():
     c = RunConfig({})
     assert c.seed == 0
-    assert c.workers == 1
     assert c.output_interval == 20
     assert c.dt is None
     assert c.cells(2) == [100, 100]
 
 
 def test_config_overrides_win():
-    c = RunConfig({"seed": 3, "workers": 2}, seed=9)
+    c = RunConfig({"seed": 3}, seed=9)
     assert c.seed == 9
-    assert c.workers == 2
 
 
 def test_cells_list_length_checked():
