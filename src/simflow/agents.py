@@ -7,9 +7,13 @@ Neighbor candidates come from a periodic k-d tree at a slightly inflated
 radius and are then filtered with the exact minimum-image distance, so
 the result matches a brute-force scan exactly.
 
-Rule execution mirrors the graph runtime: per-rule property snapshots,
-gather rules may read neighbors, update rules are agent-local, and all
-randomness is keyed on (seed, phase, step, rule index, agent).
+Rule execution mirrors the graph runtime: every rule sees the properties
+as they were when it started, gather rules may read neighbors, update
+rules are agent-local, and all randomness is keyed on (seed, phase, step,
+rule index, agent).  Rules and the initial condition run compiled over
+all agents at once (:mod:`simflow.lockstep`); the per-agent interpreter
+runs an algorithm the compiler refuses and reruns a rule in which an
+agent faults, so errors name the agent.
 """
 
 from __future__ import annotations
@@ -21,14 +25,12 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import algorithm as alg
-from . import expr
+from . import expr, lockstep
 from .rng import DrawStream, keyed_uniform_array
 
 _PHASE_INIT = 1
 _PHASE_RULE = 3
 _PHASE_POS = 5
-
-TWO_PI = 2.0 * math.pi
 
 
 class AgentError(Exception):
@@ -122,20 +124,30 @@ def _brute_pairs(shifted, extents, radius):
     return np.column_stack([ii[keep], jj[keep]])
 
 
+def neighbor_csr(n, pairs, include_self=True):
+    """Neighbor relation from the (i < j) pairs as CSR arrays.
+
+    Returns ``(indptr, index)``: the neighbors of agent ``a`` are
+    ``index[indptr[a]:indptr[a + 1]]``, in ascending order.
+    """
+    ii, jj = pairs
+    owners, others = [ii, jj], [jj, ii]
+    if include_self:
+        ids = np.arange(n)
+        owners.append(ids)
+        others.append(ids)
+    owner = np.concatenate(owners).astype(np.int64)
+    other = np.concatenate(others).astype(np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
+    # sorting the unique keys owner * n + other orders by owner, then neighbor
+    return indptr, np.sort(owner * n + other) % n
+
+
 def neighbor_lists(n, pairs, include_self=True):
     """Ascending neighbor index list per agent from the (i < j) pairs."""
-    ii, jj = pairs
-    lists = [[] for _ in range(n)]
-    for a, b in zip(ii, jj):
-        lists[a].append(int(b))
-        lists[b].append(int(a))
-    out = []
-    for i in range(n):
-        nbr = sorted(lists[i])
-        if include_self:
-            nbr = sorted(nbr + [i])
-        out.append(nbr)
-    return out
+    indptr, index = neighbor_csr(n, pairs, include_self)
+    return [row.tolist() for row in np.split(index, indptr[1:-1])]
 
 
 def find_neighbors(agents, i, radius, include_self=True):
@@ -158,8 +170,10 @@ class AgentContext(alg.Context):
 
     Current-agent reads are live (accumulators work inside a rule); reads
     of other agents ($na inside iterate_over_interactions) come from the
-    per-rule snapshot.  Update rules reject neighbor access.  Writes to
-    coordinate properties are wrapped into the domain.
+    per-rule snapshot.  ``neighbors`` is the :func:`neighbor_csr`
+    relation, or None in an initial condition.  Update rules reject
+    neighbor access.  Writes to coordinate properties are wrapped into
+    the domain.
     """
 
     family = "spatial"
@@ -226,10 +240,52 @@ class AgentContext(alg.Context):
     def iter_interactions(self):
         if self.phase == "update":
             raise alg.PhaseError("iterate_over_interactions is not allowed in an update rule")
-        for p in self.neighbors[self.agent]:
+        if self.neighbors is None:
+            raise alg.PhaseError(
+                "iterate_over_interactions is not allowed in an initial condition")
+        indptr, index = self.neighbors
+        for p in index[indptr[self.agent]:indptr[self.agent + 1]].tolist():
             self._partner = p
             yield p
         self._partner = None
+
+
+class AgentLanes(lockstep.Entities):
+    """All agents for one compiled rule or initial condition.
+
+    ``neighbors`` is the :func:`neighbor_csr` relation, or None in an
+    initial condition.
+    """
+
+    property_kinds = ("field", "coordinate")
+    self_builtin = "$ca"
+    partner_builtin = "$na"
+
+    def __init__(self, agents, params, phase, iteration, keys, neighbors):
+        super().__init__(agents.n, agents.props, params, phase, iteration, keys)
+        self.agents = agents
+        self.neighbors = neighbors
+
+    def builtin(self, state, name, lanes, arg, in_loop):
+        if name == "$ca":
+            return lanes.astype(np.float64)
+        if name == "$na":
+            if self.phase == "update" or not in_loop:
+                raise lockstep.Fault("$na outside iterate_over_interactions")
+            return state.partner[lanes].astype(np.float64)
+        if name == "$gnoa":
+            return float(self.n)
+        return super().builtin(state, name, lanes, arg, in_loop)
+
+    def neighbours(self, tag, direction):
+        if tag != "iterate_over_interactions" or self.phase == "update" \
+                or self.neighbors is None:
+            raise lockstep.Fault(f"{tag} is not available")
+        return self.neighbors
+
+    def wrap(self, name, values):
+        # on arrays, % is np.mod, which rounds and signs as Python's float %
+        return self.agents.wrap(name, values) if name in self.agents.domain else values
 
 
 def initialize_agents(problem, model, params, n, seed=0):
@@ -237,32 +293,46 @@ def initialize_agents(problem, model, params, n, seed=0):
     agents = AgentSet(n, problem.spatial_coords, problem.domain,
                       [p for p in problem.properties if p not in problem.spatial_coords])
     default_positions(agents, seed)
-    snapshot = {k: v.copy() for k, v in agents.props.items()}
-    for a in range(agents.n):
-        stream = DrawStream(seed, _PHASE_INIT, a)
-        ctx = AgentContext(agents, snapshot, None, a, params, stream, phase="init")
-        alg.run_algorithm(problem.initial_condition, ctx)
+    ic = problem.initial_condition
+    lockstep.log_status("initial condition", ic)
+
+    def interpret():
+        snapshot = {k: v.copy() for k, v in agents.props.items()}
+        for a in range(agents.n):
+            stream = DrawStream(seed, _PHASE_INIT, a)
+            ctx = AgentContext(agents, snapshot, None, a, params, stream, phase="init")
+            alg.run_algorithm(ic, ctx)
+
+    entities = AgentLanes(agents, params, "init", 0, (seed, _PHASE_INIT), None)
+    lockstep.run(ic, np.arange(agents.n), entities, interpret, "initial condition")
     return agents
 
 
 def step_agents(agents, model, params, radius, step, seed=0):
     """One evolution step: neighbor rebuild, then rules in declared order."""
     pairs = neighbor_pairs(agents.positions(), agents.lows(), agents.extents(), radius)
-    neighbors = neighbor_lists(agents.n, pairs, model.include_self)
+    neighbors = neighbor_csr(agents.n, pairs, model.include_self)
+    everyone = np.arange(agents.n)
     for rule_index, rule_name in enumerate(model.execution_order):
         rule = model.rule_by_name(rule_name)
         if rule is None:
             raise AgentError(f"execution order names unknown rule '{rule_name}'")
-        snapshot = {k: v.copy() for k, v in agents.props.items()}
-        for a in range(agents.n):
-            stream = DrawStream(seed, _PHASE_RULE, step, rule_index, a)
-            ctx = AgentContext(agents, snapshot, neighbors, a, params, stream,
-                               phase=rule.kind, iteration=step)
-            try:
-                alg.run_algorithm(rule.algorithm, ctx)
-            except expr.EvaluationError as exc:
-                raise AgentError(
-                    f"rule '{rule_name}' failed at agent {a}: {exc}") from exc
+
+        def interpret():
+            snapshot = {k: v.copy() for k, v in agents.props.items()}
+            for a in range(agents.n):
+                stream = DrawStream(seed, _PHASE_RULE, step, rule_index, a)
+                ctx = AgentContext(agents, snapshot, neighbors, a, params, stream,
+                                   phase=rule.kind, iteration=step)
+                try:
+                    alg.run_algorithm(rule.algorithm, ctx)
+                except expr.EvaluationError as exc:
+                    raise AgentError(
+                        f"rule '{rule_name}' failed at agent {a}: {exc}") from exc
+
+        entities = AgentLanes(agents, params, rule.kind, step,
+                              (seed, _PHASE_RULE, step, rule_index), neighbors)
+        lockstep.run(rule.algorithm, everyone, entities, interpret, f"rule '{rule_name}'")
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +360,7 @@ def run_spatial_problem(problem, model, config):
         raise AgentError(f"radius parameter '{model.interaction_radius}' is undefined")
 
     agents = initialize_agents(problem, model, params, n, seed)
+    lockstep.log_rules(model)
     env = expr.EvalEnvironment(bindings=dict(params))
 
     def finalized(k):
@@ -332,73 +403,3 @@ def _write_snapshot(agents, out_dir, step):
             row = ",".join(format(float(agents.props[p][a]), ".17g") for p in names)
             fh.write(f"{a},{row}\n")
     return path
-
-
-# ---------------------------------------------------------------------------
-# Native flocking operators (vectorized twins of the shipped document rules)
-
-def flocking_gather(theta, pairs, include_self=True):
-    """Neighbor trig sums: sumcos, sumsin, and neighbor counts.
-
-    ``pairs`` are the (i < j) index arrays from :func:`neighbor_pairs`.
-    Accumulation uses np.add.at over lexicographically sorted pairs, so
-    per-agent addition order is ascending neighbor index.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    n = len(theta)
-    ct, st = np.cos(theta), np.sin(theta)
-    if include_self:
-        sumcos, sumsin = ct.copy(), st.copy()
-        counts = np.ones(n)
-    else:
-        sumcos, sumsin = np.zeros(n), np.zeros(n)
-        counts = np.zeros(n)
-    ii, jj = pairs
-    np.add.at(sumcos, ii, ct[jj])
-    np.add.at(sumsin, ii, st[jj])
-    np.add.at(sumcos, jj, ct[ii])
-    np.add.at(sumsin, jj, st[ii])
-    np.add.at(counts, ii, 1.0)
-    np.add.at(counts, jj, 1.0)
-    return sumcos, sumsin, counts
-
-
-def flocking_update(theta, sumcos, sumsin, counts, eta, xi):
-    """Vectorial-noise angle update.
-
-    New angle is the argument of (sum of neighbor headings) + eta * n *
-    e^(i xi); a zero-magnitude argument vector keeps the previous angle.
-    """
-    vx = sumcos + eta * counts * np.cos(xi)
-    vy = sumsin + eta * counts * np.sin(xi)
-    degenerate = (vx == 0.0) & (vy == 0.0)
-    return np.where(degenerate, theta, np.arctan2(vy, vx))
-
-
-def run_flocking(n, box, radius, v0, eta, dt, steps, seed=0, include_self=True,
-                 angle_rule_index=2):
-    """Self-contained flocking run; returns the per-step polarization.
-
-    Initialization and noise draws use the same RNG keying as the
-    document runtime: positions (seed, pos-phase, agent, axis), angles
-    (seed, init-phase, agent), noise (seed, rule-phase, step, rule,
-    agent).
-    """
-    box = np.broadcast_to(np.asarray(box, dtype=np.float64), (2,))
-    ids = np.arange(n)
-    pos = np.column_stack([
-        box[d] * keyed_uniform_array(ids, seed, _PHASE_POS, tail=(d,))
-        for d in range(2)])
-    theta = TWO_PI * keyed_uniform_array(ids, seed, _PHASE_INIT, tail=(0,))
-    lows = np.zeros(2)
-    history = []
-    for step in range(steps):
-        pairs = neighbor_pairs(pos, lows, box, radius)
-        sumcos, sumsin, counts = flocking_gather(theta, pairs, include_self)
-        xi = TWO_PI * keyed_uniform_array(
-            ids, seed, _PHASE_RULE, step, angle_rule_index, tail=(0,))
-        theta = flocking_update(theta, sumcos, sumsin, counts, eta, xi)
-        pos[:, 0] = np.mod(pos[:, 0] + v0 * dt * np.cos(theta), box[0])
-        pos[:, 1] = np.mod(pos[:, 1] + v0 * dt * np.sin(theta), box[1])
-        history.append(order_parameter(theta))
-    return np.array(history)

@@ -4,6 +4,13 @@ Algorithms appear in initial conditions and in ABM gather/update rules.
 Statements are stored in documents as tagged JSON objects; expressions
 inside them use the infix grammar from :mod:`simflow.expr`.
 
+This module defines the language's semantics.  The grid runtime runs
+initial conditions that branch or draw through it cell by cell.  ABM rules
+and initial conditions run compiled over all entities at once
+(:mod:`simflow.lockstep`); this interpreter runs them only when the
+compiler refuses a program or an entity faults, and it is the oracle the
+compiled path is tested against.
+
 Supported statement kinds: assign, if, while, iterate_over_edges (graph
 models) and iterate_over_interactions (spatial models).  Tags belonging
 to out-of-scope model families (flux, sources, boundary,

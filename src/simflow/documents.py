@@ -739,6 +739,9 @@ def _validate_pde_problem(p, docs_dir):
                                     f"initial condition does not assign field '{f}'"))
     for tag in alg.unsupported_tags(p.region.initial_condition):
         diags.append(Diagnostic("error", "region/initial_condition", f"unsupported tag '{tag}'"))
+    _reject_statements(p.region.initial_condition.statements,
+                       _initial_condition_rejects("grid", *_ITERATION_TAGS),
+                       "region/initial_condition", diags)
     names = set()
     for i, b in enumerate(p.boundary_conditions):
         names.add(b.name)
@@ -816,17 +819,31 @@ def _validate_policy(policy):
     return diags
 
 
-def _check_family_statements(statements, family, path, diags):
+_ITERATION_TAGS = {alg.IterateOverEdges: "iterate_over_edges",
+                   alg.IterateOverInteractions: "iterate_over_interactions"}
+
+# neighbor iteration a model family's rules cannot run
+_FAMILY_REJECTS = {
+    "graph": {alg.IterateOverInteractions:
+              "iterate_over_interactions is only valid in spatial models"},
+    "spatial": {alg.IterateOverEdges: "iterate_over_edges is only valid in graph models"},
+}
+
+
+def _initial_condition_rejects(family, *kinds):
+    return {k: f"{_ITERATION_TAGS[k]} is not available in {family} initial conditions"
+            for k in kinds}
+
+
+def _reject_statements(statements, rejects, path, diags):
+    """One diagnostic per statement, at any depth, whose type ``rejects``
+    maps to a message."""
     for s in statements:
-        if isinstance(s, alg.IterateOverInteractions) and family == "graph":
-            diags.append(Diagnostic("error", path,
-                                    "iterate_over_interactions is only valid in spatial models"))
-        if isinstance(s, alg.IterateOverEdges) and family == "spatial":
-            diags.append(Diagnostic("error", path,
-                                    "iterate_over_edges is only valid in graph models"))
+        if type(s) in rejects:
+            diags.append(Diagnostic("error", path, rejects[type(s)]))
         for body in (getattr(s, "body", None), getattr(s, "then", None), getattr(s, "orelse", None)):
             if body:
-                _check_family_statements(body, family, path, diags)
+                _reject_statements(body, rejects, path, diags)
 
 
 def _validate_abm_model(m):
@@ -853,7 +870,7 @@ def _validate_abm_model(m):
                                     "neighbor context in update rule (must be a gather rule)"))
         for tag in alg.unsupported_tags(r.algorithm):
             diags.append(Diagnostic("error", path, f"unsupported tag '{tag}'"))
-        _check_family_statements(r.algorithm.statements, m.family, path, diags)
+        _reject_statements(r.algorithm.statements, _FAMILY_REJECTS[m.family], path, diags)
     return diags
 
 
@@ -892,6 +909,11 @@ def _validate_abm_problem(p, docs_dir):
             diags.append(Diagnostic("error", "n_agents", "agent count must be positive"))
     for tag in alg.unsupported_tags(p.initial_condition):
         diags.append(Diagnostic("error", "initial_condition", f"unsupported tag '{tag}'"))
+    # a graph initial condition may walk edges; no initial condition has
+    # the spatial neighbor relation, which is built per step
+    kinds = [alg.IterateOverInteractions] if p.family == "graph" else list(_ITERATION_TAGS)
+    _reject_statements(p.initial_condition.statements,
+                       _initial_condition_rejects(p.family, *kinds), "initial_condition", diags)
     if docs_dir is not None:
         kind = f"abm_{p.family}_model"
         diags += _check_model_reference(p, docs_dir, (kind,),

@@ -3,22 +3,25 @@
 Vertices carry named float properties; rules from a graph model run
 against them in two phases per step: gather rules may read neighbours
 through edge iteration, update rules are strictly vertex-local.  Every
-rule sees a snapshot of all properties taken when the rule starts, so
+rule sees the properties as they were when the rule started, so
 neighbour reads are independent of the vertex visiting order.
 
-Randomness is keyed on (seed, phase, step, rule index, vertex), never on
-call order across vertices.
+Rules and the initial condition run compiled over all vertices at once
+(:mod:`simflow.lockstep`); the per-vertex interpreter runs an algorithm
+the compiler refuses and reruns a rule in which a vertex faults, so
+errors name the vertex.  Randomness is keyed on (seed, phase, step, rule
+index, vertex), never on call order across vertices.
 """
 
 from __future__ import annotations
 
-import warnings
+import functools
 from pathlib import Path
 
 import numpy as np
 
 from . import algorithm as alg
-from . import expr
+from . import expr, lockstep
 from .expr import _fmt_number
 from .rng import DrawStream, keyed_int
 
@@ -57,6 +60,24 @@ class Graph:
     @property
     def n_edges(self):
         return len(self.edges)
+
+    @functools.cached_property
+    def edge_arrays(self):
+        """(sources, targets) as integer arrays indexed by edge."""
+        pairs = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        return pairs[:, 0], pairs[:, 1]
+
+    @functools.cached_property
+    def csr(self):
+        """Adjacency as CSR arrays ``(indptr, edge indices)`` by direction,
+        each vertex's edges in creation order."""
+        out = {}
+        for direction, lists in (("in", self.in_edges), ("out", self.out_edges)):
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum([len(lst) for lst in lists], out=indptr[1:])
+            index = np.fromiter((e for lst in lists for e in lst), np.int64, int(indptr[-1]))
+            out[direction] = (indptr, index)
+        return out
 
     def endpoints(self, edge, vertex=None):
         """(source, target) of an edge; for undirected graphs the pair is
@@ -296,14 +317,66 @@ class VertexContext(alg.Context):
         self._edge = None
 
 
+class VertexLanes(lockstep.Entities):
+    """All vertices of a graph for one compiled rule or initial condition."""
+
+    self_builtin = "$cv"
+
+    def __init__(self, graph, live, params, phase, iteration, keys):
+        super().__init__(graph.n, live, params, phase, iteration, keys)
+        self.graph = graph
+
+    def builtin(self, state, name, lanes, arg, in_loop):
+        graph = self.graph
+        if name == "$cv":
+            return lanes.astype(np.float64)
+        if name == "$ce":
+            if not in_loop:
+                raise lockstep.Fault("$ce outside iterate_over_edges")
+            return state.partner[lanes].astype(np.float64)
+        if name in ("$es", "$et"):
+            if self.phase == "update" or arg is None:
+                raise lockstep.Fault(f"{name} is not available")
+            edge = state.index(arg, lanes, graph.n_edges)
+            sources, targets = graph.edge_arrays
+            if graph.directed:
+                ends = sources if name == "$es" else targets
+                return ends[edge].astype(np.float64)
+            if name == "$et":
+                return lanes.astype(np.float64)
+            return np.where(targets[edge] == lanes, sources[edge],
+                            targets[edge]).astype(np.float64)
+        if name in ("$lnoe_in", "$lnoe_out"):
+            v = lanes if arg is None else state.index(arg, lanes, graph.n)
+            indptr = graph.csr["in" if name == "$lnoe_in" else "out"][0]
+            return (indptr[v + 1] - indptr[v]).astype(np.float64)
+        if name == "$gnov":
+            return float(graph.n)
+        if name == "$gnoe":
+            return float(graph.n_edges)
+        return super().builtin(state, name, lanes, arg, in_loop)
+
+    def neighbours(self, tag, direction):
+        if tag != "iterate_over_edges" or self.phase == "update":
+            raise lockstep.Fault(f"{tag} is not available")
+        return self.graph.csr[direction]
+
+
 def initialize_properties(graph, problem, params, seed=0):
-    """Per-vertex run of the problem's initial-condition algorithm."""
+    """Run the problem's initial-condition algorithm over all vertices."""
     live = {p: np.zeros(graph.n) for p in problem.properties}
-    snapshot = {p: live[p].copy() for p in live}
-    for v in range(graph.n):
-        stream = DrawStream(seed, _PHASE_INIT, v)
-        ctx = VertexContext(graph, live, snapshot, v, params, stream, phase="init")
-        alg.run_algorithm(problem.initial_condition, ctx)
+    ic = problem.initial_condition
+    lockstep.log_status("initial condition", ic)
+
+    def interpret():
+        snapshot = {p: live[p].copy() for p in live}
+        for v in range(graph.n):
+            stream = DrawStream(seed, _PHASE_INIT, v)
+            ctx = VertexContext(graph, live, snapshot, v, params, stream, phase="init")
+            alg.run_algorithm(ic, ctx)
+
+    entities = VertexLanes(graph, live, params, "init", 0, (seed, _PHASE_INIT))
+    lockstep.run(ic, np.arange(graph.n), entities, interpret, "initial condition")
     return live
 
 
@@ -313,24 +386,29 @@ def step_graph(graph, model, live, params, step, seed=0, mode="all"):
     ``mode='one'`` runs the rule sequence on a single keyed-random vertex.
     """
     if mode == "one":
-        vertices = [keyed_int(graph.n, seed, _PHASE_PICK, step)]
+        vertices = np.array([keyed_int(graph.n, seed, _PHASE_PICK, step)])
     else:
-        vertices = range(graph.n)
+        vertices = np.arange(graph.n)
     for rule_index, rule_name in enumerate(model.execution_order):
         rule = model.rule_by_name(rule_name)
         if rule is None:
             raise GraphError(f"execution order names unknown rule '{rule_name}'")
-        snapshot = {p: live[p].copy() for p in live}
-        phase = rule.kind
-        for v in vertices:
-            stream = DrawStream(seed, _PHASE_RULE, step, rule_index, v)
-            ctx = VertexContext(graph, live, snapshot, v, params, stream,
-                                phase=phase, iteration=step)
-            try:
-                alg.run_algorithm(rule.algorithm, ctx)
-            except expr.EvaluationError as exc:
-                raise GraphError(
-                    f"rule '{rule_name}' failed at vertex {v}: {exc}") from exc
+
+        def interpret():
+            snapshot = {p: live[p].copy() for p in live}
+            for v in vertices.tolist():
+                stream = DrawStream(seed, _PHASE_RULE, step, rule_index, v)
+                ctx = VertexContext(graph, live, snapshot, v, params, stream,
+                                    phase=rule.kind, iteration=step)
+                try:
+                    alg.run_algorithm(rule.algorithm, ctx)
+                except expr.EvaluationError as exc:
+                    raise GraphError(
+                        f"rule '{rule_name}' failed at vertex {v}: {exc}") from exc
+
+        entities = VertexLanes(graph, live, params, rule.kind, step,
+                               (seed, _PHASE_RULE, step, rule_index))
+        lockstep.run(rule.algorithm, vertices, entities, interpret, f"rule '{rule_name}'")
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +437,7 @@ def run_graph_problem(problem, model, config):
     graph = generate_graph(spec, seed)
     params = problem.parameter_values(config.scalar_overrides)
     live = initialize_properties(graph, problem, params, seed)
+    lockstep.log_rules(model)
 
     env = expr.EvalEnvironment(bindings=dict(params))
 

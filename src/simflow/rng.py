@@ -46,7 +46,10 @@ def keyed_uniform_array(ids, *keys, tail=()):
     """Vectorized keyed_uniform over an array of entity ids.
 
     Bitwise identical to ``[keyed_uniform(*keys, i, *tail) for i in ids]``;
-    ``tail`` carries fixed keys that follow the id (e.g. a draw counter).
+    ``tail`` carries keys that follow the id (e.g. a draw counter).  A
+    tail key may be an integer array shaped like ``ids``, one key per id,
+    so draw ``count[i]`` of ``DrawStream(*keys, ids[i])`` is
+    ``keyed_uniform_array(ids, *keys, tail=(count,))[i]``.
     """
     ids = np.asarray(ids, dtype=np.uint64)
     h = np.uint64(0)
@@ -56,8 +59,14 @@ def keyed_uniform_array(ids, *keys, tail=()):
         h = np.broadcast_to(h, ids.shape).copy()
         h = _mix_np(h + np.uint64(_GAMMA) + ids)
         for k in tail:
-            h = _mix_np(h + np.uint64(_GAMMA) + np.uint64(int(k) & _MASK))
+            h = _mix_np(h + np.uint64(_GAMMA) + _tail_key(k))
     return (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _tail_key(k):
+    if isinstance(k, np.ndarray):
+        return k.astype(np.int64).astype(np.uint64)  # wraps like & _MASK
+    return np.uint64(int(k) & _MASK)
 
 
 def _mix_np(z):

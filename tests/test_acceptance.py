@@ -211,11 +211,18 @@ def test_criterion_6_flocking(tmp_path, capsys):
         assert report.steps == 10
         assert len(report.order_history) == 10
 
-        # extended runs with the fast vectorized twin of the document rules;
-        # dt = 3 is the declared test constant for the ordering check
+        # extended runs of the document rules, 1024 agents for 500 steps
+        # (no output files); dt = 3 is the declared test constant for the
+        # ordering check
         def tail_mean(eta, seed):
-            history = ag.run_flocking(1024, 100.0, 1.0, 0.5, eta, 3.0, 500, seed=seed)
-            return float(history[-100:].mean())
+            params = problem.parameter_values(
+                {"eta": eta, "dt": 3.0, "v0": 0.5, "radius": 1.0})
+            agents = ag.initialize_agents(problem, model, params, 1024, seed)
+            history = []
+            for step in range(500):
+                ag.step_agents(agents, model, params, params["radius"], step, seed)
+                history.append(ag.order_parameter(agents.props["theta"]))
+            return float(np.mean(history[-100:]))
 
         ordered = [tail_mean(0.1, s) for s in range(5)]
         noisy = [tail_mean(0.8, s) for s in range(5)]

@@ -1,15 +1,17 @@
-"""Spatial agent runtime: neighbor search, flocking operators, runner."""
+"""Spatial agent runtime: neighbor search, flocking rules, runner."""
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from simflow import agents as ag
 from simflow import documents as docs
-from simflow import library_path
+from simflow import library_path, lockstep
 from simflow.params import RunConfig
-from simflow.rng import keyed_uniform_array
+from simflow.rng import keyed_uniform
 
 LIBRARY = library_path()
 TWO_PI = 2.0 * math.pi
@@ -81,88 +83,97 @@ class TestOrderParameter:
         assert ag.order_parameter(np.array([0.0, math.pi])) == pytest.approx(0.0, abs=1e-15)
 
 
-class TestFlockingOperators:
-    def test_gather_hand_example(self):
-        # three mutual neighbors at 0, pi/2, pi
-        theta = np.array([0.0, math.pi / 2, math.pi])
-        pairs = (np.array([0, 0, 1]), np.array([1, 2, 2]))
-        sumcos, sumsin, counts = ag.flocking_gather(theta, pairs, include_self=True)
-        assert np.allclose(sumcos, 0.0, atol=1e-15)
-        assert np.allclose(sumsin, 1.0)
-        assert list(counts) == [3.0, 3.0, 3.0]
-
-    def test_exclude_self_counts(self):
-        theta = np.zeros(3)
-        pairs = (np.array([0]), np.array([1]))
-        _, _, counts = ag.flocking_gather(theta, pairs, include_self=False)
-        assert list(counts) == [1.0, 1.0, 0.0]
-
-    def test_noise_free_alignment_is_fixed_point(self):
-        theta = np.full(10, 1.2)
-        pairs = (np.array([], dtype=int), np.array([], dtype=int))
-        sc, ss, n = ag.flocking_gather(theta, pairs)
-        out = ag.flocking_update(theta, sc, ss, n, eta=0.0, xi=np.zeros(10))
-        assert np.allclose(out, 1.2)
-
-    def test_symmetric_pair_averages_to_zero(self):
-        delta = 0.3
-        theta = np.array([delta, -delta])
-        pairs = (np.array([0]), np.array([1]))
-        sc, ss, n = ag.flocking_gather(theta, pairs)
-        out = ag.flocking_update(theta, sc, ss, n, eta=0.0, xi=np.zeros(2))
-        assert np.allclose(out, 0.0, atol=1e-15)
-
-    def test_degenerate_sum_keeps_angle(self):
-        # isolated agent, self excluded: zero sums and zero noise weight
-        theta = np.array([0.4, 2.2])
-        empty = (np.array([], dtype=int), np.array([], dtype=int))
-        sc, ss, n = ag.flocking_gather(theta, empty, include_self=False)
-        out = ag.flocking_update(theta, sc, ss, n, eta=0.7, xi=np.zeros(2))
-        assert list(out) == [0.4, 2.2]
-
-    def test_unit_noise_bisects_single_agent(self):
-        theta = np.array([0.0])
-        pairs = (np.array([], dtype=int), np.array([], dtype=int))
-        sc, ss, n = ag.flocking_gather(theta, pairs)
-        out = ag.flocking_update(theta, sc, ss, n, eta=1.0, xi=np.array([math.pi / 2]))
-        assert out[0] == pytest.approx(math.pi / 4)
-
-
 def flocking_docs():
     model = docs.load_document(LIBRARY / "models/flocking_model.json")
     problem = docs.load_document(LIBRARY / "problems/flocking_problem.json")
     return model, problem
 
 
-class TestInterpreterVsNative:
+def flock(positions, theta):
+    """An AgentSet of the flocking problem with the given state."""
+    _, problem = flocking_docs()
+    agents = ag.AgentSet(len(theta), ["x", "y"], problem.domain,
+                         ["theta", "sumcos", "sumsin", "n"])
+    agents.props["x"][:] = [p[0] for p in positions]
+    agents.props["y"][:] = [p[1] for p in positions]
+    agents.props["theta"][:] = theta
+    return agents
+
+
+def run_rules(agents, rules, eta=0.0, include_self=True, step=0, seed=0):
+    """One step of the document rules ``rules`` of the flocking model."""
+    model, _ = flocking_docs()
+    model.execution_order = rules
+    model.include_self = include_self
+    params = {"eta": eta, "v0": 0.5, "dt": 1.0, "radius": 1.0}
+    ag.step_agents(agents, model, params, params["radius"], step, seed)
+
+
+GATHER = ["Sums update", "Sums gather"]
+ANGLE = GATHER + ["Angle update"]
+
+
+class TestFlockingOperators:
+    """Hand examples of the shipped flocking rules, run through step_agents."""
+
+    def test_gather_hand_example(self):
+        # three mutual neighbors at 0, pi/2, pi
+        agents = flock([(10.0, 10.0), (10.5, 10.0), (10.0, 10.5)],
+                       [0.0, math.pi / 2, math.pi])
+        run_rules(agents, GATHER)
+        assert np.allclose(agents.props["sumcos"], 0.0, atol=1e-15)
+        assert np.allclose(agents.props["sumsin"], 1.0)
+        assert list(agents.props["n"]) == [3.0, 3.0, 3.0]
+
+    def test_exclude_self_counts(self):
+        agents = flock([(10.0, 10.0), (10.5, 10.0), (50.0, 50.0)], np.zeros(3))
+        run_rules(agents, GATHER, include_self=False)
+        assert list(agents.props["n"]) == [1.0, 1.0, 0.0]
+
+    def test_noise_free_alignment_is_fixed_point(self):
+        positions = [(10.0 + 0.4 * k, 20.0 + 0.3 * (k % 3)) for k in range(10)]
+        agents = flock(positions, np.full(10, 1.2))
+        run_rules(agents, ANGLE + ["Move update"])
+        assert np.allclose(agents.props["theta"], 1.2)
+
+    def test_symmetric_pair_averages_to_zero(self):
+        delta = 0.3
+        agents = flock([(10.0, 10.0), (10.5, 10.0)], [delta, -delta])
+        run_rules(agents, ANGLE)
+        assert np.allclose(agents.props["theta"], 0.0, atol=1e-15)
+
+    def test_degenerate_sum_keeps_angle(self):
+        # isolated agents, self excluded: zero sums and zero noise weight
+        agents = flock([(10.0, 10.0), (50.0, 50.0)], [0.4, 2.2])
+        run_rules(agents, ANGLE, eta=0.7, include_self=False)
+        assert list(agents.props["theta"]) == [0.4, 2.2]
+
+    def test_unit_noise_bisects_single_agent(self):
+        # with eta = 1 the new heading bisects the old one (0) and the
+        # noise angle xi, drawn as draw 0 of rule 2 for agent 0
+        agents = flock([(10.0, 10.0)], [0.0])
+        run_rules(agents, ANGLE, eta=1.0, step=3, seed=7)
+        xi = TWO_PI * keyed_uniform(7, 3, 3, 2, 0, 0)
+        expected = math.atan2(math.sin(xi / 2), math.cos(xi / 2))
+        assert agents.props["theta"][0] == pytest.approx(expected, abs=1e-12)
+
+
+class TestCompiledVsInterpreted:
     def test_one_step_agreement(self):
         model, problem = flocking_docs()
-        params = problem.parameter_values()
-        n, seed = 64, 2
-        box = 100.0
-
-        ids = np.arange(n)
-        theta0 = TWO_PI * keyed_uniform_array(ids, seed, 1, tail=(0,))
-        pos0 = np.column_stack([
-            box * keyed_uniform_array(ids, seed, 5, tail=(d,)) for d in range(2)])
-
-        agents = ag.AgentSet(n, ["x", "y"], problem.domain,
-                             ["theta", "sumcos", "sumsin", "n"])
-        agents.props["x"][:] = pos0[:, 0]
-        agents.props["y"][:] = pos0[:, 1]
-        agents.props["theta"][:] = theta0
-        ag.step_agents(agents, model, params, params["radius"], step=0, seed=seed)
-
-        pairs = ag.neighbor_pairs(pos0, np.zeros(2), np.full(2, box), params["radius"])
-        sc, ss, cnt = ag.flocking_gather(theta0, pairs, include_self=True)
-        xi = TWO_PI * keyed_uniform_array(ids, seed, 3, 0, 2, tail=(0,))
-        theta1 = ag.flocking_update(theta0, sc, ss, cnt, params["eta"], xi)
-        x1 = np.mod(pos0[:, 0] + params["v0"] * params["dt"] * np.cos(theta1), box)
-        y1 = np.mod(pos0[:, 1] + params["v0"] * params["dt"] * np.sin(theta1), box)
-
-        assert np.allclose(agents.props["theta"], theta1, atol=1e-12)
-        assert np.allclose(agents.props["x"], x1, atol=1e-10)
-        assert np.allclose(agents.props["y"], y1, atol=1e-10)
+        params = problem.parameter_values({"radius": 6.0})
+        runs = []
+        for compiled in (True, False):
+            agents = ag.initialize_agents(problem, model, params, 64, seed=2)
+            with contextlib.ExitStack() as stack:
+                if not compiled:
+                    stack.enter_context(mock.patch.object(
+                        lockstep, "compile_algorithm", lambda a: (None, "interpreter")))
+                ag.step_agents(agents, model, params, params["radius"], step=0, seed=2)
+            runs.append(agents.props)
+        for name, values in runs[0].items():
+            assert np.array_equal(values.view(np.uint64), runs[1][name].view(np.uint64)), name
+        assert runs[0]["n"].max() > 2
 
 
 class TestRunner:

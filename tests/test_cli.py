@@ -145,25 +145,42 @@ def test_workers_flag_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "w").exists()
 
 
-@pytest.mark.parametrize("statement", [
-    {"do": "assign", "target": "phi", "expr": "sqrt(-1 - $rnd_uniform)"},
-    {"do": "iterate_over_edges", "body": []},
-], ids=["evaluation-error", "phase-error"])
-def test_runtime_faults_exit_2_with_one_line(tmp_path, capsys, statement):
-    doc = json.loads(Path(WAVE_PROBLEM).read_text())
-    doc["region"]["initial_condition"] = [
-        {"do": "assign", "target": "phi", "expr": "0"},
-        {"do": "assign", "target": "K", "expr": "0"},
-        statement]
+FAULTS = {
+    # a grid initial condition that faults while it runs
+    "evaluation-error": ("wave", {"do": "assign", "target": "phi",
+                                  "expr": "sqrt(-1 - $rnd_uniform)"},
+                         "sqrt of negative value"),
+    # a spatial initial condition has no neighbor relation to iterate over
+    "phase-error": ("flocking", {"do": "iterate_over_interactions", "body": [
+        {"do": "assign", "target": "theta($ca)", "expr": "theta($na)"}]},
+        "iterate_over_interactions is not allowed in an initial condition"),
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_runtime_faults_exit_2_with_one_line(tmp_path, capsys, fault):
+    kind, statement, message = FAULTS[fault]
+    doc = json.loads((LIBRARY / f"problems/{kind}_problem.json").read_text())
+    if kind == "wave":
+        doc["region"]["initial_condition"] = [
+            {"do": "assign", "target": "phi", "expr": "0"},
+            {"do": "assign", "target": "K", "expr": "0"},
+            statement]
+        params = write_params(tmp_path, "dt = 0.005\ncells = 8\ntend = 0.01\n")
+        extra = ["--policy", WAVE_POLICY]
+    else:
+        doc["initial_condition"].append(statement)
+        params = write_params(tmp_path, "time_steps = 1\nn_agents = 8\n")
+        extra = []
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps(doc))
-    params = write_params(tmp_path, "dt = 0.005\ncells = 8\ntend = 0.01\n")
-    assert cli("--docs", str(LIBRARY), "run", str(problem), "--policy", WAVE_POLICY,
+    assert cli("--docs", str(LIBRARY), "run", str(problem), *extra,
                "--params", params, "-o", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+    assert message in err
 
 
 @pytest.mark.parametrize("tag", ["iterate_over_vertices", "iterate_over_agents",
@@ -176,6 +193,24 @@ def test_entity_iteration_tags_rejected_by_validate(tmp_path, capsys, tag):
     path.write_text(json.dumps(doc))
     assert cli("validate", str(path)) == 1
     assert f"unsupported tag '{tag}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem,tag", [
+    ("wave", "iterate_over_edges"),
+    ("wave", "iterate_over_interactions"),
+    ("voter", "iterate_over_interactions"),
+    ("flocking", "iterate_over_interactions"),
+    ("flocking", "iterate_over_edges"),
+])
+def test_neighbor_iteration_in_initial_condition_rejected_by_validate(
+        tmp_path, capsys, problem, tag):
+    doc = json.loads((LIBRARY / f"problems/{problem}_problem.json").read_text())
+    ic = doc["region"] if problem == "wave" else doc
+    ic["initial_condition"].append({"do": tag, "body": []})
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert cli("--docs", str(LIBRARY), "validate", str(path)) == 1
+    assert f"{tag} is not available in" in capsys.readouterr().err
 
 
 def test_export_latex(tmp_path, capsys):

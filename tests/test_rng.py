@@ -39,6 +39,18 @@ def test_vector_without_tail():
     assert list(vec) == [keyed_uniform(7, 9, int(i)) for i in ids]
 
 
+@given(keys, st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=30))
+def test_array_tail_matches_draw_streams(ks, counts):
+    # entry k is draw counts[k] of the stream of entity ids[k]
+    ids = np.arange(len(counts)) * 3
+    vec = keyed_uniform_array(ids, *ks, tail=(np.array(counts),))
+    for k, count in enumerate(counts):
+        stream = DrawStream(*ks, int(ids[k]))
+        for _ in range(count):
+            stream.uniform()
+        assert vec[k] == stream.uniform()
+
+
 def test_draw_stream_counts():
     s = DrawStream(42, 1, 2)
     a, b = s.uniform(), s.uniform()
