@@ -18,8 +18,8 @@ agent faults, so errors name the agent.
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -31,6 +31,8 @@ from .rng import DrawStream, keyed_uniform_array
 _PHASE_INIT = 1
 _PHASE_RULE = 3
 _PHASE_POS = 5
+
+log = logging.getLogger("simflow")
 
 
 class AgentError(Exception):
@@ -92,10 +94,7 @@ def neighbor_pairs(positions, lows, extents, radius):
     shifted = np.mod(positions - lows, extents)
     # guard against mod rounding tiny negatives up to the full extent
     shifted = np.where(shifted >= extents, shifted - extents, shifted)
-    if 3.0 * radius >= extents.min():
-        warnings.warn(
-            f"interaction radius {radius} is >= a third of the domain extent; "
-            "using the quadratic all-pairs search")
+    if _uses_all_pairs(extents, radius):
         pairs = _brute_pairs(shifted, extents, radius)
     else:
         tree = cKDTree(shifted, boxsize=extents)
@@ -109,6 +108,11 @@ def neighbor_pairs(positions, lows, extents, radius):
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
     pairs = pairs[order]
     return pairs[:, 0].astype(np.int64), pairs[:, 1].astype(np.int64)
+
+
+def _uses_all_pairs(extents, radius):
+    """Whether the radius is too large for the periodic k-d tree."""
+    return 3.0 * radius >= np.min(extents)
 
 
 def _within(a, b, extents, radius):
@@ -361,6 +365,10 @@ def run_spatial_problem(problem, model, config):
 
     agents = initialize_agents(problem, model, params, n, seed)
     lockstep.log_rules(model)
+    radius = params[model.interaction_radius]
+    if _uses_all_pairs(agents.extents(), radius):
+        log.warning("interaction radius %s is >= a third of the domain extent; "
+                    "using the quadratic all-pairs search", radius)
     env = expr.EvalEnvironment(bindings=dict(params))
 
     def finalized(k):
@@ -374,7 +382,6 @@ def run_spatial_problem(problem, model, config):
     while not finalized(step):
         if step >= config.max_steps:
             raise AgentError(f"finalization never satisfied within {config.max_steps} steps")
-        radius = params[model.interaction_radius]
         step_agents(agents, model, params, radius, step, seed)
         step += 1
         outputs.append(str(_write_snapshot(agents, out_dir, step)))

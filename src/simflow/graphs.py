@@ -280,10 +280,15 @@ class VertexContext(alg.Context):
                 raise alg.PhaseError(f"{name} is not allowed in an update rule")
             if arg is None:
                 raise expr.EvaluationError(f"{name} needs an edge argument")
-            s, t = self.graph.endpoints(int(arg), self.vertex)
+            e = int(arg)
+            if not 0 <= e < self.graph.n_edges:
+                raise expr.EvaluationError(f"edge index {e} out of range for '{name}'")
+            s, t = self.graph.endpoints(e, self.vertex)
             return float(s if name == "$es" else t)
         if name in ("$lnoe_in", "$lnoe_out"):
             v = self.vertex if arg is None else int(arg)
+            if not 0 <= v < self.graph.n:
+                raise expr.EvaluationError(f"vertex index {v} out of range for '{name}'")
             lst = self.graph.in_edges if name == "$lnoe_in" else self.graph.out_edges
             return float(len(lst[v]))
         if name == "$gnov":

@@ -195,10 +195,41 @@ def rk3_step(state, rhs, t, dt):
     interior of the result does not depend on ghost contents.  The
     increment arrangement keeps the state bitwise unchanged when the RHS
     is identically zero.
+
+    The stages are combined in place: each of the two stage states is one
+    new array per field, ``k1 + k2`` is summed into the second RHS array
+    and the result is built in the third, so ``rhs`` must return arrays it
+    does not keep (or scalars).  ``state`` is never written.  Every stage
+    value is bitwise equal to the plain expressions
+    ``state + dt * k1``, ``state + dt * (k1 + k2) / 4.0`` and
+    ``state + dt * (k1 + k2 + 4.0 * k3) / 6.0``: each in-place operation
+    is one of theirs with its operands swapped at most.
     """
     k1 = rhs(state, t)
-    s1 = {f: state[f] + dt * k1[f] for f in state}
+    s1 = {}
+    for f in state:
+        s = k1[f] * dt
+        s += state[f]
+        s1[f] = s
     k2 = rhs(s1, t + dt)
-    s2 = {f: state[f] + dt * (k1[f] + k2[f]) / 4.0 for f in state}
+    k12 = {}
+    s2 = {}
+    for f in state:
+        u = k2[f]
+        u += k1[f]
+        k12[f] = u
+        s = u * dt
+        s /= 4.0
+        s += state[f]
+        s2[f] = s
     k3 = rhs(s2, t + dt / 2.0)
-    return {f: state[f] + dt * (k1[f] + k2[f] + 4.0 * k3[f]) / 6.0 for f in state}
+    out = {}
+    for f in state:
+        v = k3[f]
+        v *= 4.0
+        v += k12[f]
+        v *= dt
+        v /= 6.0
+        v += state[f]
+        out[f] = v
+    return out

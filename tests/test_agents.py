@@ -1,6 +1,7 @@
 """Spatial agent runtime: neighbor search, flocking rules, runner."""
 
 import contextlib
+import logging
 import math
 from unittest import mock
 
@@ -59,8 +60,9 @@ class TestNeighborSearch:
         rng = np.random.default_rng(3)
         pos = rng.uniform(0.0, 10.0, size=(30, 2))
         extents = np.array([10.0, 10.0])
-        with pytest.warns(UserWarning, match="all-pairs"):
+        with mock.patch.object(ag, "_brute_pairs", wraps=ag._brute_pairs) as brute:
             ii, jj = ag.neighbor_pairs(pos, np.zeros(2), extents, 4.0)
+        assert brute.call_count == 1
         got = [set() for _ in range(30)]
         for a, b in zip(ii, jj):
             got[a].add(int(b))
@@ -205,6 +207,17 @@ class TestRunner:
         assert np.all(report.agents.props["x"] < 100.0)
         assert np.all(report.agents.props["y"] >= 0.0)
         assert np.all(report.agents.props["y"] < 100.0)
+
+    def test_all_pairs_fallback_logged_once_per_run(self, tmp_path, caplog):
+        model, problem = flocking_docs()
+        config = RunConfig({"time_steps": 5, "n_agents": 20, "radius": 40.0},
+                           output_dir=tmp_path / "big", seed=1)
+        with caplog.at_level(logging.WARNING, logger="simflow"):
+            report = ag.run_spatial_problem(problem, model, config)
+        assert report.steps == 5
+        warned = [r.getMessage() for r in caplog.records
+                  if r.name == "simflow" and r.levelno == logging.WARNING]
+        assert len(warned) == 1 and "all-pairs" in warned[0]
 
     def test_missing_radius_parameter_rejected(self, tmp_path):
         model, problem = flocking_docs()

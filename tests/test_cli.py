@@ -183,6 +183,21 @@ def test_runtime_faults_exit_2_with_one_line(tmp_path, capsys, fault):
     assert message in err
 
 
+def test_out_of_range_vertex_index_exits_2_with_one_line(tmp_path, capsys):
+    model = json.loads((LIBRARY / "models/voter_model.json").read_text())
+    model["rules"]["gather"][0]["algorithm"] = [
+        {"do": "assign", "target": "acc($cv)", "expr": "$lnoe_in(-1)"}]
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "voter_model.json").write_text(json.dumps(model))
+    params = write_params(tmp_path, "time_steps = 1\n")
+    assert cli("--docs", str(tmp_path / "docs"), "run",
+               str(LIBRARY / "problems/voter_problem.json"),
+               "--params", params, "-o", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: rule 'Acc gather 1' failed at vertex 0: "
+                   "vertex index -1 out of range for '$lnoe_in'\n")
+
+
 @pytest.mark.parametrize("tag", ["iterate_over_vertices", "iterate_over_agents",
                                  "iterate_over_cells"])
 def test_entity_iteration_tags_rejected_by_validate(tmp_path, capsys, tag):

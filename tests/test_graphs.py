@@ -1,12 +1,13 @@
 """Graph generation, DOT output, and the graph rule runtime."""
 
+import logging
 import re
 
 import numpy as np
 import pytest
 
 from simflow import documents as docs
-from simflow import graphs, library_path
+from simflow import expr, graphs, library_path
 from simflow.params import RunConfig
 
 LIBRARY = library_path()
@@ -143,6 +144,34 @@ class TestVoterRules:
         with pytest.raises(graphs.GraphError) as err:
             graphs.step_graph(g, model, live, {}, step=0)
         assert "vertex 0" in str(err.value)
+
+
+    @pytest.mark.parametrize("call,message", [
+        ("$lnoe_in(-1)", "vertex index -1 out of range for '$lnoe_in'"),
+        ("$lnoe_out(3)", "vertex index 3 out of range for '$lnoe_out'"),
+        ("$es(-1)", "edge index -1 out of range for '$es'"),
+        ("$et(3)", "edge index 3 out of range for '$et'"),
+    ])
+    def test_out_of_range_builtin_index_rejected(self, call, message, caplog):
+        # Python lists would wrap -1 round to the last vertex or edge
+        caplog.set_level(logging.DEBUG, logger="simflow")
+        model = docs.document_from_json({
+            "kind": "abm_graph_model",
+            "head": {"name": "degree", "id": "degree-model"},
+            "vertex_properties": ["acc"],
+            "rules": {"gather": [{"name": "read", "property": "acc", "algorithm": [
+                {"do": "assign", "target": "acc($cv)", "expr": call}]}], "update": []},
+            "execution_order": ["read"],
+        })
+        g = graphs.Graph(3, [(0, 1), (1, 2), (2, 0)], directed=True)
+        live = {"acc": np.zeros(3)}
+        with pytest.raises(graphs.GraphError) as err:
+            graphs.step_graph(g, model, live, {}, step=0)
+        assert str(err.value) == f"rule 'read' failed at vertex 0: {message}"
+        assert isinstance(err.value.__cause__, expr.EvaluationError)
+        assert list(live["acc"]) == [0.0, 0.0, 0.0]
+        assert ("rule 'read': index out of range in compiled run, rerunning interpreted"
+                in caplog.messages)
 
 
 class TestRunner:

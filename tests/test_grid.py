@@ -1,5 +1,7 @@
 """Grid runtime: halos, initial data, stencil application, VTK, time loop."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from simflow import documents as docs
 from simflow import grid as gridmod
 from simflow import kernel, library_path
 from simflow.params import RunConfig
-from simflow.stencils import centered_stencil
+from simflow.stencils import (Stencil, StencilError, centered_stencil, fd_weights,
+                              ko_dissipation)
 
 
 def make_1d(n=4, halo=2):
@@ -44,7 +47,93 @@ def test_cell_centers():
     assert list(g.coords_1d(0)) == [0.125, 0.375, 0.625, 0.875]
 
 
+def reference_apply_stencil(arr, stencil, axis_idx, dx):
+    """Slice-accumulate stencil application (oracle for apply_stencil)."""
+    out = np.zeros_like(arr)
+    size = arr.shape[axis_idx]
+    r = stencil.radius
+    sl_out = gridmod._axis_slice(arr.ndim, axis_idx, slice(r, size - r))
+    acc = None
+    for off, w in zip(stencil.offsets, stencil.weights):
+        sl_in = gridmod._axis_slice(arr.ndim, axis_idx, slice(r + off, size - r + off))
+        term = w * arr[sl_in]
+        acc = term if acc is None else acc + term
+    if stencil.order > 0:
+        acc = acc / dx ** stencil.order
+    out[sl_out] = acc
+    return out
+
+
+# every stencil the shipped policies lower to: direct orders 1-4 (order 1
+# is also the recursive rule's building block) and Kreiss-Oliger r = 2, 3, 4
+SHIPPED_STENCILS = (
+    [centered_stencil(m, kernel._direct_width(m), "x") for m in (1, 2, 3, 4)]
+    + [ko_dissipation(r, 0.1, 0.05, "x") for r in (2, 3, 4)])
+PADDED_SHAPES = [(23,), (17, 19), (11, 9, 13)]
+
+
+def assert_close_on_valid(got, want, axis_idx, r):
+    valid = gridmod._axis_slice(got.ndim, axis_idx, slice(r, got.shape[axis_idx] - r))
+    scale = np.max(np.abs(want[valid]))
+    assert np.max(np.abs(got[valid] - want[valid])) <= 1e-13 * scale
+
+
 class TestStencilApplication:
+    @pytest.mark.parametrize("shape", PADDED_SHAPES, ids=lambda s: f"{len(s)}d")
+    @pytest.mark.parametrize("stencil", SHIPPED_STENCILS,
+                             ids=lambda s: f"m{s.order}-w{len(s.offsets)}")
+    def test_matches_slice_accumulate_reference(self, stencil, shape):
+        arr = np.random.default_rng(len(shape)).standard_normal(shape)
+        for d in range(len(shape)):
+            got = gridmod.apply_stencil(arr, stencil, d, 0.05)
+            want = reference_apply_stencil(arr, stencil, d, 0.05)
+            assert_close_on_valid(got, want, d, stencil.radius)
+            margin = np.ones(shape, dtype=bool)
+            margin[gridmod._axis_slice(len(shape), d, slice(stencil.radius,
+                                                            shape[d] - stencil.radius))] = False
+            assert np.all(got[margin] == 0.0)
+
+    @pytest.mark.parametrize("shape", PADDED_SHAPES[1:], ids=lambda s: f"{len(s)}d")
+    def test_recursive_composition_matches_reference(self, shape):
+        d1 = centered_stencil(1, 5, "x")
+        arr = np.random.default_rng(3).standard_normal(shape)
+        for d in range(len(shape)):
+            got = gridmod.apply_stencil(gridmod.apply_stencil(arr, d1, d, 0.05), d1, d, 0.05)
+            want = reference_apply_stencil(reference_apply_stencil(arr, d1, d, 0.05),
+                                           d1, d, 0.05)
+            assert_close_on_valid(got, want, d, 4)
+
+    @pytest.mark.parametrize("stencil", [
+        Stencil(1, "x", (0, 1, 2), tuple(float(w) for w in fd_weights(1, (0, 1, 2)))),
+        Stencil(0, "x", (-1, 0, 1), (1.0, 2.0, 5.0)),
+        Stencil(1, "x", (-1, 0, 1), (-0.5, 1.0, 0.5)),
+    ], ids=["one-sided", "lopsided-weights", "odd-order-centre-tap"])
+    def test_non_centered_stencil_rejected(self, stencil):
+        arr = np.random.default_rng(4).standard_normal((17, 19))
+        with pytest.raises(StencilError, match="not centered"):
+            gridmod.apply_stencil(arr, stencil, 0, 0.05)
+
+    def test_non_contiguous_out_rejected(self):
+        arr = np.random.default_rng(4).standard_normal((17, 19))
+        out = np.zeros((19, 17)).T
+        with pytest.raises(ValueError, match="C-contiguous"):
+            gridmod.apply_stencil(arr, SHIPPED_STENCILS[0], 0, 0.05, out=out)
+
+    def test_accumulates_into_out_and_keeps_its_margins(self):
+        rng = np.random.default_rng(6)
+        arr = rng.standard_normal((17, 19))
+        s = SHIPPED_STENCILS[1]
+        r = s.radius
+        for d in range(2):
+            before = rng.standard_normal((17, 19))
+            out = before.copy()
+            assert gridmod.apply_stencil(arr, s, d, 0.05, out=out) is out
+            want = before + reference_apply_stencil(arr, s, d, 0.05)
+            assert_close_on_valid(out, want, d, r)
+            for m in (slice(0, r), slice(arr.shape[d] - r, None)):
+                edge = gridmod._axis_slice(2, d, m)
+                assert np.array_equal(out[edge], before[edge])
+
     def test_second_derivative_of_parabola(self):
         # u = x^2 has constant second derivative 2, exactly
         g = make_1d(n=16, halo=2)
@@ -99,6 +188,27 @@ class TestInitialConditions:
         assert np.all(g.interior(g.data["K"]) == 0.0)
 
 
+def reference_vtk_bytes(axes, bounds, counts, fields, title):
+    """Legacy VTK built one format(float(v), ".17g") call per value (oracle)."""
+    def fmt(v):
+        return format(float(v), ".17g")
+
+    ndim = len(axes)
+    dims = [counts[d] + 1 if d < ndim else 1 for d in range(3)]
+    origin = [bounds[axes[d]][0] if d < ndim else 0.0 for d in range(3)]
+    spacing = [(bounds[axes[d]][1] - bounds[axes[d]][0]) / counts[d] if d < ndim else 1.0
+               for d in range(3)]
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET STRUCTURED_POINTS",
+             "DIMENSIONS {} {} {}".format(*dims),
+             "ORIGIN " + " ".join(fmt(v) for v in origin),
+             "SPACING " + " ".join(fmt(v) for v in spacing),
+             f"CELL_DATA {int(np.prod(counts))}"]
+    for name, values in fields.items():
+        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+        lines += [fmt(v) for v in values.ravel(order="F")]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 class TestVtk:
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -107,6 +217,24 @@ class TestVtk:
         gridmod.write_vtk((["x", "y"], {"x": (0, 1), "y": (0, 1)}, (6, 4), {"u": data}), path)
         back = gridmod.read_vtk_cell_data(path)
         assert np.array_equal(back["u"], data)
+
+    def test_bytes_match_per_value_format(self, tmp_path):
+        special = [-0.0, 5e-324, 1e308, 0.1, 0.0, 1.0, -3.0, 2.0 ** 53, 1e16]
+        rng = np.random.default_rng(8)
+        cases = [
+            (["x"], {"x": (0.0, 1.0)}, (14,),
+             {"u": np.concatenate([special, rng.standard_normal(5)])}),
+            (["x", "y"], {"x": (-0.5, 0.5), "y": (0.0, 0.3)}, (3, 5),
+             {"u": np.concatenate([special, rng.standard_normal(6)]).reshape(3, 5),
+              "v": rng.standard_normal((3, 5))}),
+        ]
+        for i, grid_like in enumerate(cases):
+            path = tmp_path / f"case{i}.vtk"
+            gridmod.write_vtk(grid_like, path, title="t")
+            assert path.read_bytes() == reference_vtk_bytes(*grid_like, title="t")
+            back = gridmod.read_vtk_cell_data(path)
+            for name, values in grid_like[3].items():
+                assert np.array_equal(back[name].view(np.uint64), values.view(np.uint64))
 
     def test_header_shape(self, tmp_path):
         path = tmp_path / "u_0.vtk"
@@ -168,6 +296,16 @@ class TestTimeLoop:
         e0 = energy(g0.interior(g0.data["phi"]), g0.interior(g0.data["K"]), g0.dx[0])
         e1 = energy(report.final_fields["phi"], report.final_fields["K"], g0.dx[0])
         assert abs(e1 - e0) / e0 < 1e-3
+
+    def test_cfl_warning_goes_to_the_simflow_logger(self, tmp_path, caplog):
+        problem, prog = wave_setup()
+        config = RunConfig({"dt": 0.05, "cells": 20, "t_end": 0.05,
+                            "output_interval": 1000}, output_dir=tmp_path / "cfl")
+        with caplog.at_level(logging.WARNING, logger="simflow"):
+            gridmod.run(problem, prog, config)
+        warned = [r.getMessage() for r in caplog.records
+                  if r.name == "simflow" and r.levelno == logging.WARNING]
+        assert len(warned) == 1 and warned[0].startswith("dt=0.05 exceeds the CFL guidance")
 
     def test_missing_dt_rejected(self, tmp_path):
         problem, prog = wave_setup()

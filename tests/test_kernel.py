@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from simflow import documents as docs
@@ -162,6 +163,38 @@ class TestRk3:
 
         kernel.rk3_step({"u": 0.0}, rhs, 0.0, 0.5)
         assert len(calls) == 3
+
+    def test_in_place_stages_bitwise_equal_plain_expressions(self):
+        rng = np.random.default_rng(9)
+        state = {f: rng.standard_normal((13, 17)) for f in ("u", "v")}
+        before = {f: a.copy() for f, a in state.items()}
+        forcing = rng.standard_normal((13, 17))
+
+        def rhs(s, t):
+            return {"u": np.sin(s["v"]) * forcing + t, "v": s["u"] * s["v"] - 3.0 * t}
+
+        inputs = []
+
+        def recording_rhs(s, t):
+            inputs.append({f: a.copy() for f, a in s.items()})
+            return rhs(s, t)
+
+        t, dt = 0.3, 0.0371
+        out = kernel.rk3_step(state, recording_rhs, t, dt)
+
+        k1 = rhs(before, t)
+        s1 = {f: before[f] + dt * k1[f] for f in before}
+        k2 = rhs(s1, t + dt)
+        s2 = {f: before[f] + dt * (k1[f] + k2[f]) / 4.0 for f in before}
+        k3 = rhs(s2, t + dt / 2.0)
+        final = {f: before[f] + dt * (k1[f] + k2[f] + 4.0 * k3[f]) / 6.0 for f in before}
+
+        def bits(arrays):
+            return {f: a.view(np.uint64).tolist() for f, a in arrays.items()}
+
+        assert [bits(s) for s in inputs] == [bits(before), bits(s1), bits(s2)]
+        assert bits(out) == bits(final)
+        assert bits(state) == bits(before)
 
     def test_stage_times(self):
         times = []
