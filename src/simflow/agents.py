@@ -12,8 +12,8 @@ as they were when it started, gather rules may read neighbors, update
 rules are agent-local, and all randomness is keyed on (seed, phase, step,
 rule index, agent).  Rules and the initial condition run compiled over
 all agents at once (:mod:`simflow.lockstep`); the per-agent interpreter
-runs an algorithm the compiler refuses and reruns a rule in which an
-agent faults, so errors name the agent.
+(:class:`AgentContext`) runs an algorithm the compiler refuses and reruns
+a rule in which an agent faults, so errors name the agent.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 
 from . import algorithm as alg
 from . import expr, lockstep
-from .rng import DrawStream, keyed_uniform_array
+from .rng import keyed_uniform_array
 
 _PHASE_INIT = 1
 _PHASE_RULE = 3
@@ -148,18 +148,6 @@ def neighbor_csr(n, pairs, include_self=True):
     return indptr, np.sort(owner * n + other) % n
 
 
-def neighbor_lists(n, pairs, include_self=True):
-    """Ascending neighbor index list per agent from the (i < j) pairs."""
-    indptr, index = neighbor_csr(n, pairs, include_self)
-    return [row.tolist() for row in np.split(index, indptr[1:-1])]
-
-
-def find_neighbors(agents, i, radius, include_self=True):
-    """Neighbors of one agent (ascending, self included by convention)."""
-    pairs = neighbor_pairs(agents.positions(), agents.lows(), agents.extents(), radius)
-    return neighbor_lists(agents.n, pairs, include_self)[i]
-
-
 def order_parameter(theta):
     """Polarization (1/N)|sum exp(i theta)| of an angle array."""
     theta = np.asarray(theta)
@@ -198,7 +186,7 @@ class AgentContext(alg.Context):
         if kind == "parameter":
             return self.params[name]
         if kind in ("field", "coordinate"):
-            a = self.agent if arg is None else int(arg)
+            a = self.agent if arg is None else alg.entity_index(arg, "agent", name)
             if a == self.agent:
                 return float(self.agents.props[name][a])
             if self.phase == "update":
@@ -233,7 +221,7 @@ class AgentContext(alg.Context):
     def write(self, name, index, value):
         if name not in self.agents.props:
             raise alg.AlgorithmError(f"write to undeclared property '{name}'")
-        a = self.agent if index is None else int(index)
+        a = self.agent if index is None else alg.entity_index(index, "agent", name)
         if a != self.agent:
             raise alg.AlgorithmError(
                 f"agent {self.agent} may not write property '{name}' of agent {a}")
@@ -255,7 +243,7 @@ class AgentContext(alg.Context):
 
 
 class AgentLanes(lockstep.Entities):
-    """All agents for one compiled rule or initial condition.
+    """All agents for one rule or initial condition.
 
     ``neighbors`` is the :func:`neighbor_csr` relation, or None in an
     initial condition.
@@ -264,6 +252,8 @@ class AgentLanes(lockstep.Entities):
     property_kinds = ("field", "coordinate")
     self_builtin = "$ca"
     partner_builtin = "$na"
+    noun = "agent"
+    error = AgentError
 
     def __init__(self, agents, params, phase, iteration, keys, neighbors):
         super().__init__(agents.n, agents.props, params, phase, iteration, keys)
@@ -291,6 +281,10 @@ class AgentLanes(lockstep.Entities):
         # on arrays, % is np.mod, which rounds and signs as Python's float %
         return self.agents.wrap(name, values) if name in self.agents.domain else values
 
+    def context(self, i, snapshot, stream):
+        return AgentContext(self.agents, snapshot, self.neighbors, i, self.params, stream,
+                            phase=self.phase, iteration=self.iteration)
+
 
 def initialize_agents(problem, model, params, n, seed=0):
     """AgentSet with keyed uniform positions, then the problem's IC."""
@@ -299,16 +293,8 @@ def initialize_agents(problem, model, params, n, seed=0):
     default_positions(agents, seed)
     ic = problem.initial_condition
     lockstep.log_status("initial condition", ic)
-
-    def interpret():
-        snapshot = {k: v.copy() for k, v in agents.props.items()}
-        for a in range(agents.n):
-            stream = DrawStream(seed, _PHASE_INIT, a)
-            ctx = AgentContext(agents, snapshot, None, a, params, stream, phase="init")
-            alg.run_algorithm(ic, ctx)
-
     entities = AgentLanes(agents, params, "init", 0, (seed, _PHASE_INIT), None)
-    lockstep.run(ic, np.arange(agents.n), entities, interpret, "initial condition")
+    lockstep.run(ic, np.arange(agents.n), entities)
     return agents
 
 
@@ -322,21 +308,9 @@ def step_agents(agents, model, params, radius, step, seed=0):
         if rule is None:
             raise AgentError(f"execution order names unknown rule '{rule_name}'")
 
-        def interpret():
-            snapshot = {k: v.copy() for k, v in agents.props.items()}
-            for a in range(agents.n):
-                stream = DrawStream(seed, _PHASE_RULE, step, rule_index, a)
-                ctx = AgentContext(agents, snapshot, neighbors, a, params, stream,
-                                   phase=rule.kind, iteration=step)
-                try:
-                    alg.run_algorithm(rule.algorithm, ctx)
-                except expr.EvaluationError as exc:
-                    raise AgentError(
-                        f"rule '{rule_name}' failed at agent {a}: {exc}") from exc
-
         entities = AgentLanes(agents, params, rule.kind, step,
                               (seed, _PHASE_RULE, step, rule_index), neighbors)
-        lockstep.run(rule.algorithm, everyone, entities, interpret, f"rule '{rule_name}'")
+        lockstep.run(rule.algorithm, everyone, entities, rule_name)
 
 
 # ---------------------------------------------------------------------------

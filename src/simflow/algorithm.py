@@ -4,12 +4,11 @@ Algorithms appear in initial conditions and in ABM gather/update rules.
 Statements are stored in documents as tagged JSON objects; expressions
 inside them use the infix grammar from :mod:`simflow.expr`.
 
-This module defines the language's semantics.  The grid runtime runs
-initial conditions that branch or draw through it cell by cell.  ABM rules
-and initial conditions run compiled over all entities at once
-(:mod:`simflow.lockstep`); this interpreter runs them only when the
-compiler refuses a program or an entity faults, and it is the oracle the
-compiled path is tested against.
+This module defines the language's semantics.  ABM rules and the
+initial conditions of all three runtimes run compiled over all entities
+at once (:mod:`simflow.lockstep`); this interpreter runs them only when
+the compiler refuses a program or an entity faults, and it is the oracle
+the compiled path is tested against.
 
 Supported statement kinds: assign, if, while, iterate_over_edges (graph
 models) and iterate_over_interactions (spatial models).  Tags belonging
@@ -20,7 +19,8 @@ validation can report them clearly; any other tag fails to load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from . import expr
 from .expr import (
@@ -192,54 +192,46 @@ def check_locality(alg):
 
 
 def _needs_neighbors(statements):
+    return (any(isinstance(s, (IterateOverEdges, IterateOverInteractions))
+                for s in walk(statements))
+            or any(name in expr.NEIGHBOR_BUILTINS
+                   for e in expressions(statements) for name, _ in free_symbols(e)))
+
+
+def walk(statements):
+    """Every statement in the list, at any depth, each before its body."""
     for s in statements:
-        if isinstance(s, (IterateOverEdges, IterateOverInteractions)):
-            return True
+        yield s
+        for body in (getattr(s, "body", ()), getattr(s, "then", ()), getattr(s, "orelse", ())):
+            yield from walk(body)
+
+
+def expressions(statements):
+    """Every assignment target and value and every condition, at any depth."""
+    for s in walk(statements):
         if isinstance(s, Assign):
-            if _expr_touches_neighbors(s.target) or _expr_touches_neighbors(s.value):
-                return True
-        elif isinstance(s, IfThenElse):
-            if _expr_touches_neighbors(s.cond) or _needs_neighbors(s.then) or _needs_neighbors(s.orelse):
-                return True
-        elif isinstance(s, While):
-            if _expr_touches_neighbors(s.cond) or _needs_neighbors(s.body):
-                return True
-    return False
-
-
-def _expr_touches_neighbors(e):
-    return any(name in expr.NEIGHBOR_BUILTINS for name, _ in free_symbols(e))
+            yield s.target
+            yield s.value
+        elif isinstance(s, (IfThenElse, While)):
+            yield s.cond
 
 
 def unsupported_tags(alg):
-    out = []
-    _collect_unsupported(alg.statements, out)
-    return out
-
-
-def _collect_unsupported(statements, out):
-    for s in statements:
-        if isinstance(s, Unsupported):
-            out.append(s.tag)
-        elif isinstance(s, IfThenElse):
-            _collect_unsupported(s.then, out)
-            _collect_unsupported(s.orelse, out)
-        elif isinstance(s, (While, IterateOverEdges, IterateOverInteractions)):
-            _collect_unsupported(s.body, out)
+    return [s.tag for s in walk(alg.statements) if isinstance(s, Unsupported)]
 
 
 def assigned_locals(statements):
     """Bare-name targets assigned anywhere in the statement list."""
-    out = set()
-    for s in statements:
-        if isinstance(s, Assign) and isinstance(s.target, Symbol) and s.target.kind == "local":
-            out.add(s.target.name)
-        elif isinstance(s, IfThenElse):
-            out |= assigned_locals(s.then)
-            out |= assigned_locals(s.orelse)
-        elif isinstance(s, (While, IterateOverEdges, IterateOverInteractions)):
-            out |= assigned_locals(s.body)
-    return out
+    return {s.target.name for s in walk(statements) if isinstance(s, Assign)
+            and isinstance(s.target, Symbol) and s.target.kind == "local"}
+
+
+def entity_index(arg, noun, name):
+    """``int(arg)`` for an argument naming a vertex, edge or agent; a NaN
+    or infinite ``arg`` is out of range, as the EvaluationError says."""
+    if not math.isfinite(arg):
+        raise EvaluationError(f"{noun} index {arg} out of range for '{name}'")
+    return int(arg)
 
 
 class Context:

@@ -742,6 +742,12 @@ def _validate_pde_problem(p, docs_dir):
     _reject_statements(p.region.initial_condition.statements,
                        _initial_condition_rejects("grid", *_ITERATION_TAGS),
                        "region/initial_condition", diags)
+    for e in alg.expressions(p.region.initial_condition.statements):
+        for node in expr.subexpressions(e):
+            if isinstance(node, expr.Indexed):
+                diags.append(Diagnostic(
+                    "error", "region/initial_condition",
+                    f"indexed symbol '{node.name}' is not valid in a grid initial condition"))
     names = set()
     for i, b in enumerate(p.boundary_conditions):
         names.add(b.name)
@@ -784,20 +790,8 @@ def _check_model_reference(p, docs_dir, kinds, cross_checks):
 
 
 def _assigned_fields(statements):
-    out = set()
-    for s in statements:
-        if isinstance(s, alg.Assign):
-            t = s.target
-            if isinstance(t, expr.Symbol) and t.kind == "field":
-                out.add(t.name)
-            elif isinstance(t, expr.Indexed) and t.kind == "field":
-                out.add(t.name)
-        elif isinstance(s, alg.IfThenElse):
-            out |= _assigned_fields(s.then)
-            out |= _assigned_fields(s.orelse)
-        elif isinstance(s, (alg.While, alg.IterateOverEdges, alg.IterateOverInteractions)):
-            out |= _assigned_fields(s.body)
-    return out
+    return {s.target.name for s in alg.walk(statements)
+            if isinstance(s, alg.Assign) and s.target.kind == "field"}
 
 
 def _validate_policy(policy):
@@ -838,12 +832,9 @@ def _initial_condition_rejects(family, *kinds):
 def _reject_statements(statements, rejects, path, diags):
     """One diagnostic per statement, at any depth, whose type ``rejects``
     maps to a message."""
-    for s in statements:
+    for s in alg.walk(statements):
         if type(s) in rejects:
             diags.append(Diagnostic("error", path, rejects[type(s)]))
-        for body in (getattr(s, "body", None), getattr(s, "then", None), getattr(s, "orelse", None)):
-            if body:
-                _reject_statements(body, rejects, path, diags)
 
 
 def _validate_abm_model(m):

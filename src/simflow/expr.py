@@ -357,27 +357,26 @@ def to_latex(e):
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def subexpressions(e):
+    """``e`` and every expression node below it, parents first."""
+    yield e
+    if isinstance(e, Unary):
+        children = (e.operand,)
+    elif isinstance(e, Binary):
+        children = (e.left, e.right)
+    elif isinstance(e, Call):
+        children = e.args
+    elif isinstance(e, Indexed):
+        children = (e.arg,)
+    else:
+        children = ()
+    for child in children:
+        yield from subexpressions(child)
+
+
 def free_symbols(e):
     """Exact set of (name, kind) pairs appearing in the expression."""
-    out = set()
-    _collect_symbols(e, out)
-    return out
-
-
-def _collect_symbols(e, out):
-    if isinstance(e, Symbol):
-        out.add((e.name, e.kind))
-    elif isinstance(e, Unary):
-        _collect_symbols(e.operand, out)
-    elif isinstance(e, Binary):
-        _collect_symbols(e.left, out)
-        _collect_symbols(e.right, out)
-    elif isinstance(e, Call):
-        for a in e.args:
-            _collect_symbols(a, out)
-    elif isinstance(e, Indexed):
-        out.add((e.name, e.kind))
-        _collect_symbols(e.arg, out)
+    return {(n.name, n.kind) for n in subexpressions(e) if isinstance(n, (Symbol, Indexed))}
 
 
 class EvalEnvironment:
@@ -463,30 +462,25 @@ def _eval_binary(e, env):
     raise EvaluationError(f"unknown operator '{op}'", e)
 
 
+_MATH = {
+    "sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt, "abs": abs,
+    "atan2": math.atan2, "floor": lambda x: float(math.floor(x)), "mod": lambda a, b: a % b,
+}
+
+
 def _eval_call(e, env):
     args = [evaluate(a, env) for a in e.args]
     f = e.func
-    if f == "sin":
-        return math.sin(args[0])
-    if f == "cos":
-        return math.cos(args[0])
-    if f == "exp":
-        return math.exp(args[0])
-    if f == "sqrt":
-        if args[0] < 0.0:
-            raise EvaluationError("sqrt of negative value", e)
-        return math.sqrt(args[0])
-    if f == "abs":
-        return abs(args[0])
-    if f == "atan2":
-        return math.atan2(args[0], args[1])
-    if f == "floor":
-        return float(math.floor(args[0]))
-    if f == "mod":
-        if args[1] == 0.0:
-            raise EvaluationError("mod by zero", e)
-        return args[0] % args[1]
-    raise EvaluationError(f"unknown function '{f}'", e)
+    if f == "sqrt" and args[0] < 0.0:
+        raise EvaluationError("sqrt of negative value", e)
+    if f == "mod" and args[1] == 0.0:
+        raise EvaluationError("mod by zero", e)
+    if f not in _MATH:
+        raise EvaluationError(f"unknown function '{f}'", e)
+    try:
+        return _MATH[f](*args)
+    except (OverflowError, ValueError) as exc:   # e.g. exp(1000), sin(inf)
+        raise EvaluationError(f"{f} fault: {exc}", e) from None
 
 
 def evaluate_array(e, bindings):

@@ -7,9 +7,9 @@ rule sees the properties as they were when the rule started, so
 neighbour reads are independent of the vertex visiting order.
 
 Rules and the initial condition run compiled over all vertices at once
-(:mod:`simflow.lockstep`); the per-vertex interpreter runs an algorithm
-the compiler refuses and reruns a rule in which a vertex faults, so
-errors name the vertex.  Randomness is keyed on (seed, phase, step, rule
+(:mod:`simflow.lockstep`); the per-vertex interpreter (:class:`VertexContext`)
+runs an algorithm the compiler refuses and reruns a rule in which a vertex
+faults, so errors name the vertex.  Randomness is keyed on (seed, phase, step, rule
 index, vertex), never on call order across vertices.
 """
 
@@ -255,7 +255,7 @@ class VertexContext(alg.Context):
         if kind == "parameter":
             return self.params[name]
         if kind == "field":
-            v = self.vertex if arg is None else int(arg)
+            v = self.vertex if arg is None else alg.entity_index(arg, "vertex", name)
             if v == self.vertex:
                 return float(self.live[name][v])
             if self.phase == "update":
@@ -280,13 +280,13 @@ class VertexContext(alg.Context):
                 raise alg.PhaseError(f"{name} is not allowed in an update rule")
             if arg is None:
                 raise expr.EvaluationError(f"{name} needs an edge argument")
-            e = int(arg)
+            e = alg.entity_index(arg, "edge", name)
             if not 0 <= e < self.graph.n_edges:
                 raise expr.EvaluationError(f"edge index {e} out of range for '{name}'")
             s, t = self.graph.endpoints(e, self.vertex)
             return float(s if name == "$es" else t)
         if name in ("$lnoe_in", "$lnoe_out"):
-            v = self.vertex if arg is None else int(arg)
+            v = self.vertex if arg is None else alg.entity_index(arg, "vertex", name)
             if not 0 <= v < self.graph.n:
                 raise expr.EvaluationError(f"vertex index {v} out of range for '{name}'")
             lst = self.graph.in_edges if name == "$lnoe_in" else self.graph.out_edges
@@ -306,7 +306,7 @@ class VertexContext(alg.Context):
     def write(self, name, index, value):
         if name not in self.live:
             raise alg.AlgorithmError(f"write to undeclared property '{name}'")
-        v = self.vertex if index is None else int(index)
+        v = self.vertex if index is None else alg.entity_index(index, "vertex", name)
         if v != self.vertex:
             raise alg.AlgorithmError(
                 f"vertex {self.vertex} may not write property '{name}' of vertex {v}")
@@ -323,9 +323,11 @@ class VertexContext(alg.Context):
 
 
 class VertexLanes(lockstep.Entities):
-    """All vertices of a graph for one compiled rule or initial condition."""
+    """All vertices of a graph for one rule or initial condition."""
 
     self_builtin = "$cv"
+    noun = "vertex"
+    error = GraphError
 
     def __init__(self, graph, live, params, phase, iteration, keys):
         super().__init__(graph.n, live, params, phase, iteration, keys)
@@ -366,22 +368,18 @@ class VertexLanes(lockstep.Entities):
             raise lockstep.Fault(f"{tag} is not available")
         return self.graph.csr[direction]
 
+    def context(self, i, snapshot, stream):
+        return VertexContext(self.graph, self.arrays, snapshot, i, self.params, stream,
+                             phase=self.phase, iteration=self.iteration)
+
 
 def initialize_properties(graph, problem, params, seed=0):
     """Run the problem's initial-condition algorithm over all vertices."""
     live = {p: np.zeros(graph.n) for p in problem.properties}
     ic = problem.initial_condition
     lockstep.log_status("initial condition", ic)
-
-    def interpret():
-        snapshot = {p: live[p].copy() for p in live}
-        for v in range(graph.n):
-            stream = DrawStream(seed, _PHASE_INIT, v)
-            ctx = VertexContext(graph, live, snapshot, v, params, stream, phase="init")
-            alg.run_algorithm(ic, ctx)
-
     entities = VertexLanes(graph, live, params, "init", 0, (seed, _PHASE_INIT))
-    lockstep.run(ic, np.arange(graph.n), entities, interpret, "initial condition")
+    lockstep.run(ic, np.arange(graph.n), entities)
     return live
 
 
@@ -399,21 +397,9 @@ def step_graph(graph, model, live, params, step, seed=0, mode="all"):
         if rule is None:
             raise GraphError(f"execution order names unknown rule '{rule_name}'")
 
-        def interpret():
-            snapshot = {p: live[p].copy() for p in live}
-            for v in vertices.tolist():
-                stream = DrawStream(seed, _PHASE_RULE, step, rule_index, v)
-                ctx = VertexContext(graph, live, snapshot, v, params, stream,
-                                    phase=rule.kind, iteration=step)
-                try:
-                    alg.run_algorithm(rule.algorithm, ctx)
-                except expr.EvaluationError as exc:
-                    raise GraphError(
-                        f"rule '{rule_name}' failed at vertex {v}: {exc}") from exc
-
         entities = VertexLanes(graph, live, params, rule.kind, step,
                                (seed, _PHASE_RULE, step, rule_index))
-        lockstep.run(rule.algorithm, vertices, entities, interpret, f"rule '{rule_name}'")
+        lockstep.run(rule.algorithm, vertices, entities, rule_name)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,13 @@ output.  A fixed seed reproduces every output byte: field updates are
 elementwise numpy operations, stencil accumulation order is fixed, and
 initial-data randomness is keyed on the row-major cell index.
 
+Initial conditions run as the ABM ones do, through
+:func:`simflow.lockstep.run` with one lane per interior cell
+(:class:`CellLanes`): compiled, or cell by cell through the interpreter
+(:class:`CellContext`) when the compiler refuses the algorithm or a cell
+faults.  Both give the same bits and the interpreter's errors.  Kernel
+right-hand sides are evaluated with :func:`simflow.expr.evaluate_array`.
+
 Summation order.  Each field's RHS is one array into which its terms are
 added in turn, then its dissipation along each axis.  A stencil adds its
 taps into that array: the centre tap, then for ``k = 1, 2, ...`` the
@@ -26,9 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import algorithm as alg
-from . import expr
+from . import expr, lockstep
 from .kernel import Combine, Pointwise, StencilApply, rk3_step
-from .rng import DrawStream
 from .stencils import StencilError, ko_dissipation
 
 _PHASE_INIT = 1
@@ -126,27 +132,52 @@ def _axis_slice(ndim, d, sl):
 # ---------------------------------------------------------------------------
 # Initial conditions
 
+class CellLanes(lockstep.Entities):
+    """The interior cells of a grid, one lane per cell in row-major order.
+
+    ``arrays`` holds flat per-cell copies of the fields, of the spatial
+    coordinates and of the time coordinate (0.0).  Coordinates are
+    read-only, and no symbol may be indexed by a cell.
+    """
+
+    property_kinds = ("field", "coordinate")
+    indexed = False
+
+    def __init__(self, grid, params, time_coord, seed):
+        interior = [grid.coords_1d(d)[grid.halo:grid.halo + n]
+                    for d, n in enumerate(grid.counts)]
+        coords = np.meshgrid(*interior, indexing="ij")
+        n = coords[0].size
+        arrays = {f: grid.interior(values).flatten() for f, values in grid.data.items()}
+        arrays.update((a, c.ravel()) for a, c in zip(grid.axes, coords))
+        arrays[time_coord] = np.zeros(n)
+        super().__init__(n, arrays, params, "init", 0, (seed, _PHASE_INIT))
+        self.readonly = (*grid.axes, time_coord)
+
+    def context(self, i, snapshot, stream):
+        return CellContext(self, i, stream)
+
+
 class CellContext(alg.Context):
+    """One interior cell running the initial condition: reads and writes
+    entry ``cell`` of the :class:`CellLanes` arrays."""
+
     family = "pde"
     phase = "init"
 
-    def __init__(self, grid, cell, params, stream, time_coord):
-        self.grid = grid
-        self.cell = cell  # local padded index tuple
-        self.params = params
+    def __init__(self, cells, cell, stream):
+        self.cells = cells
+        self.cell = cell  # row-major interior index
         self.stream = stream
-        self.time_coord = time_coord
 
     def resolve(self, name, kind, arg):
+        if arg is not None:
+            raise expr.EvaluationError(
+                f"indexed symbol '{name}' is not valid in a grid initial condition")
         if kind == "parameter":
-            return self.params[name]
-        if kind == "coordinate":
-            if name == self.time_coord:
-                return 0.0
-            d = self.grid.axes.index(name)
-            return float(self.grid.coords_1d(d)[self.cell[d]])
-        if kind == "field":
-            return float(self.grid.data[name][self.cell])
+            return self.cells.params[name]
+        if kind in CellLanes.property_kinds and name in self.cells.arrays:
+            return float(self.cells.arrays[name][self.cell])
         if kind == "builtin":
             if name == "$rnd_uniform":
                 return self.stream.uniform()
@@ -159,51 +190,28 @@ class CellContext(alg.Context):
     def write(self, name, index, value):
         if index is not None:
             raise alg.AlgorithmError("indexed writes are not valid on a grid")
-        if name not in self.grid.data:
+        if name not in self.cells.arrays or name in self.cells.readonly:
             raise alg.AlgorithmError(f"write to undeclared field '{name}'")
-        self.grid.data[name][self.cell] = value
-
-
-def _is_straightline(statements):
-    return all(isinstance(s, alg.Assign) and isinstance(s.target, expr.Symbol)
-               and s.target.kind == "field" for s in statements)
-
-
-def _uses_randomness(e):
-    return any(n in ("$rnd_uniform", "$rnd_int_1") for n, _ in expr.free_symbols(e))
+        self.cells.arrays[name][self.cell] = value
 
 
 def apply_initial_conditions(grid, problem, param_values, seed=0):
     """Run the problem's initial-condition algorithm at every interior cell.
 
-    Straight-line deterministic assignments are evaluated vectorized over
-    the whole interior; anything with control flow or randomness falls
-    back to per-cell interpretation keyed on the row-major cell index.
-    The two paths are not bitwise identical: the vectorized one uses
-    numpy's ``exp``, ``sin``, ``**`` and friends, which may round
-    differently from ``math`` and Python's ``**`` (on the shipped wave
-    initial condition at 101^2, 469 of 10 201 cells differ by up to
-    1.1e-16).  Halos are exchanged once afterwards.
+    The algorithm runs through :func:`simflow.lockstep.run` over
+    :class:`CellLanes`, with draws keyed on (seed, phase, row-major cell
+    index).  The interior is filled from the cells' arrays, also after a
+    fault (with the writes made before it), and the halos are exchanged
+    once afterwards.
     """
     ic = problem.region.initial_condition
-    statements = ic.statements
-    if _is_straightline(statements) and not any(_uses_randomness(s.value) for s in statements):
-        bindings = dict(param_values)
-        bindings.update(grid.coord_arrays())
-        bindings[problem.time_coord] = 0.0
-        inner = grid.interior()
-        for s in statements:
-            bindings.update({f: grid.data[f] for f in grid.data})
-            value = expr.evaluate_array(s.value, bindings)
-            grid.data[s.target.name][inner] = np.broadcast_to(
-                value, grid.shape)[inner]
-    else:
-        # np.ndindex runs in row-major order, so the position is the cell key
-        for key, local in enumerate(np.ndindex(*grid.counts)):
-            cell = tuple(i + grid.halo for i in local)
-            stream = DrawStream(seed, _PHASE_INIT, key)
-            ctx = CellContext(grid, cell, param_values, stream, problem.time_coord)
-            alg.run_algorithm(ic, ctx)
+    lockstep.log_status("initial condition", ic)
+    cells = CellLanes(grid, param_values, problem.time_coord, seed)
+    try:
+        lockstep.run(ic, np.arange(cells.n), cells)
+    finally:
+        for f, values in grid.data.items():
+            grid.interior(values)[...] = cells.arrays[f].reshape(grid.counts)
     exchange_halos(grid)
 
 

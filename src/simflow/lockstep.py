@@ -1,10 +1,11 @@
-"""Lockstep execution of ABM rules and initial conditions.
+"""Lockstep execution of ABM rules and of every initial condition.
 
 A rule or initial-condition algorithm is compiled once into closures that
 run each statement on an index array of *active lanes*, one lane per
-vertex or agent, so a rule runs over all entities in a few numpy
-operations instead of one tree walk per entity.  The results are bitwise
-equal to the per-entity interpreter in :mod:`simflow.algorithm`:
+vertex, agent or interior grid cell, so an algorithm runs over all
+entities in a few numpy operations instead of one tree walk per entity.
+The results are bitwise equal to the per-entity interpreter in
+:mod:`simflow.algorithm`:
 
 * ``assign`` writes the active lanes; ``if`` splits them on its
   condition; ``while`` repeats on the lanes whose condition still holds.
@@ -25,23 +26,27 @@ equal to the per-entity interpreter in :mod:`simflow.algorithm`:
 * ``+ - * /``, comparisons, ``and``/``or``, negation, ``sqrt``, ``abs``
   and ``mod`` are numpy operations with the same IEEE results.  ``sin``,
   ``cos``, ``exp``, ``atan2``, ``floor`` and ``^`` call ``math`` or
-  ``**`` per element, because numpy's versions may round differently.
+  ``operator.pow`` per element, because numpy's versions may round
+  differently.
 
 When any active lane would fault in the interpreter (zero divisor,
 ``sqrt`` of a negative, a bad index, a neighbour read in an update rule,
 an unbound local, the while cap, ...) the compiled run stops, its working
-copies are discarded and the rule runs through the interpreter, which
-raises the same error at the same entity after the same partial writes.
-Programs the compiler refuses (unsupported tags, nested neighbour
-iteration) always run interpreted.  The interpreter is therefore both the
-fallback and the oracle the compiled path is tested against.  The
-``simflow`` logger records at debug level which algorithms ran compiled
-and every fallback.
+copies are discarded and :func:`run` runs the algorithm through the
+interpreter, entity by entity with the Context that
+:meth:`Entities.context` gives and the same RNG keys, which raises the
+same error at the same entity after the same partial writes.  Programs
+the compiler refuses (unsupported tags, nested neighbour iteration)
+always run interpreted.  The interpreter is therefore both the fallback
+and the oracle the compiled path is tested against.  The ``simflow``
+logger records at debug level which algorithms ran compiled and every
+fallback.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 import operator
@@ -49,8 +54,8 @@ import operator
 import numpy as np
 
 from . import algorithm as alg
-from .expr import Binary, Call, Indexed, Number, Symbol, Unary
-from .rng import keyed_uniform_array
+from .expr import Binary, Call, EvaluationError, Indexed, Number, Symbol, Unary
+from .rng import DrawStream, keyed_uniform_array
 
 log = logging.getLogger("simflow")
 
@@ -66,13 +71,13 @@ class _Refused(Exception):
 # ---------------------------------------------------------------------------
 # Driver
 
-def run(algorithm, lanes, entities, interpret, what):
+def run(algorithm, lanes, entities, rule=None):
     """Run ``algorithm`` on ``lanes`` (entity indices) of ``entities``.
 
+    ``rule`` names the rule being run; None runs an initial condition.
     Runs compiled and commits the working copies to the live arrays; if
-    the compiler refused the algorithm, or a lane faults, calls
-    ``interpret()`` instead, which must run the same algorithm over the
-    same entities through the interpreter.
+    the compiler refused the algorithm, or a lane faults, runs it through
+    the interpreter instead (:func:`_interpret`).
     """
     program, _ = compile_algorithm(algorithm)
     if program is not None:
@@ -81,11 +86,33 @@ def run(algorithm, lanes, entities, interpret, what):
             with np.errstate(all="ignore"):
                 program(state, lanes)
         except Fault as exc:
+            what = "initial condition" if rule is None else f"rule '{rule}'"
             log.debug("%s: %s in compiled run, rerunning interpreted", what, exc)
         else:
             state.commit()
             return
-    interpret()
+    _interpret(algorithm, lanes, entities, rule)
+
+
+def _interpret(algorithm, lanes, entities, rule):
+    """Run ``algorithm`` through the interpreter, one lane after another.
+
+    Entity ``i`` draws from ``DrawStream(*entities.keys, i)``, the keys of
+    the compiled run, and reads other entities from a snapshot of
+    ``entities.arrays`` taken before the first lane.  A rule's
+    EvaluationError is raised again as ``entities.error``, naming the rule
+    and the entity.
+    """
+    snapshot = {name: values.copy() for name, values in entities.arrays.items()}
+    for i in lanes.tolist():
+        ctx = entities.context(i, snapshot, DrawStream(*entities.keys, i))
+        try:
+            alg.run_algorithm(algorithm, ctx)
+        except EvaluationError as exc:
+            if rule is None:
+                raise
+            raise entities.error(
+                f"rule '{rule}' failed at {entities.noun} {i}: {exc}") from exc
 
 
 def log_status(what, algorithm):
@@ -116,16 +143,21 @@ def compile_algorithm(algorithm):
 
 
 class Entities:
-    """What a compiled run reads and writes: one runtime's entities.
+    """What a run reads and writes: one runtime's entities.
 
     ``arrays`` maps property names to the live float arrays, ``keys`` is
     the RNG key prefix that precedes the entity id and the draw counter.
-    Runtimes subclass this for their builtins and neighbour relation.
+    Runtimes subclass this for their builtins, their neighbour relation
+    and their interpreter Context.
     """
 
     property_kinds = ("field",)
     self_builtin = None      # the builtin naming the current entity
     partner_builtin = None   # the builtin naming the current neighbour entity
+    indexed = True           # whether p(i) may name an entity
+    readonly = ()            # properties that may be read but not written
+    noun = "entity"          # how a rule's error names an entity
+    error = alg.AlgorithmError   # the type a rule's error is raised as
 
     def __init__(self, n, arrays, params, phase, iteration, keys):
         self.n = n
@@ -150,6 +182,11 @@ class Entities:
 
     def wrap(self, name, values):
         return values
+
+    def context(self, i, snapshot, stream):
+        """The interpreter's Context for entity ``i``, drawing from
+        ``stream``; ``snapshot`` holds every array as the run found it."""
+        raise NotImplementedError
 
 
 class _State:
@@ -198,6 +235,8 @@ class _State:
 
     def read(self, name, kind, lanes, arg, in_loop):
         ents = self.entities
+        if arg is not None and not ents.indexed:
+            raise Fault(f"indexed read of '{name}'")
         if kind == "parameter":
             if name not in ents.params:
                 raise Fault(f"unknown parameter '{name}'")
@@ -230,9 +269,9 @@ class _State:
 
     def write(self, name, lanes, value, arg):
         ents = self.entities
-        if name not in ents.arrays:
+        if name not in ents.arrays or name in ents.readonly:
             raise Fault(f"write to undeclared property '{name}'")
-        if arg is not None and not (np.trunc(arg) == lanes).all():
+        if arg is not None and not (ents.indexed and (np.trunc(arg) == lanes).all()):
             raise Fault("write to another entity")
         if name not in self.work:
             self.work[name] = ents.arrays[name].copy()
@@ -434,22 +473,17 @@ def _binary(e, in_loop):
                 raise Fault("division by zero")
             return a / b
         return divide
-    if op == "^":
-        return lambda state, lanes: _per_element(_power, lanes, left(state, lanes),
+    if op in _PER_ELEMENT:
+        fn = _PER_ELEMENT[op]
+        return lambda state, lanes: _per_element(fn, lanes, left(state, lanes),
                                                  right(state, lanes))
     raise _Refused(f"unknown operator '{op}'")
 
 
-def _power(a, b):
-    result = a ** b
-    if isinstance(result, complex):
-        raise ValueError("power of negative base to fractional exponent")
-    return result
-
-
+# a negative base to a fractional power is complex, which float() refuses
 _PER_ELEMENT = {
     "sin": math.sin, "cos": math.cos, "exp": math.exp, "atan2": math.atan2,
-    "floor": lambda x: float(math.floor(x)),
+    "floor": lambda x: float(math.floor(x)), "^": operator.pow,
 }
 
 
@@ -497,7 +531,8 @@ def _per_element(fn, lanes, *args):
     try:
         if not any(isinstance(a, np.ndarray) for a in args):
             return float(fn(*args))
-        columns = [_per_lane(a, lanes).tolist() for a in args]
+        columns = [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(float(a))
+                   for a in args]
         return np.fromiter(map(fn, *columns), dtype=np.float64, count=lanes.size)
-    except (ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, ValueError, TypeError) as exc:
         raise Fault(f"{type(exc).__name__} in {getattr(fn, '__name__', 'call')}") from None

@@ -69,12 +69,12 @@ class TestNeighborSearch:
             got[b].add(int(a))
         assert got == brute_neighbor_sets(pos, extents, 4.0)
 
-    def test_neighbor_lists_self_inclusion(self):
+    def test_neighbor_csr_self_inclusion(self):
         pairs = (np.array([0]), np.array([1]))
-        with_self = ag.neighbor_lists(3, pairs, include_self=True)
-        without = ag.neighbor_lists(3, pairs, include_self=False)
-        assert with_self == [[0, 1], [0, 1], [2]]
-        assert without == [[1], [0], []]
+        indptr, index = ag.neighbor_csr(3, pairs, include_self=True)
+        assert indptr.tolist() == [0, 2, 4, 5] and index.tolist() == [0, 1, 0, 1, 2]
+        indptr, index = ag.neighbor_csr(3, pairs, include_self=False)
+        assert indptr.tolist() == [0, 1, 2, 2] and index.tolist() == [1, 0]
 
 
 class TestOrderParameter:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior and exit codes."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -183,19 +184,82 @@ def test_runtime_faults_exit_2_with_one_line(tmp_path, capsys, fault):
     assert message in err
 
 
+NAN = "(1e308 * 1e308 - 1e308 * 1e308)"
+INF = "(1e308 * 1e308)"
+
+# (model, rule to replace, target, expr, the error it must end with)
+BAD_INDICES = [
+    ("voter", "acc($cv)", "$lnoe_in(-1)",
+     "rule 'Acc gather 1' failed at vertex 0: vertex index -1 out of range for '$lnoe_in'"),
+    ("voter", "acc($cv)", f"state({NAN})",
+     "rule 'Acc gather 1' failed at vertex 0: vertex index nan out of range for 'state'"),
+    ("voter", "acc($cv)", f"$lnoe_in({INF})",
+     "rule 'Acc gather 1' failed at vertex 0: vertex index inf out of range for '$lnoe_in'"),
+    ("voter", f"acc({NAN})", "1",
+     "rule 'Acc gather 1' failed at vertex 0: vertex index nan out of range for 'acc'"),
+    ("flocking", "sumcos($ca)", f"theta({NAN})",
+     "rule 'Sums gather' failed at agent 0: agent index nan out of range for 'theta'"),
+    ("flocking", "sumcos($ca)", f"theta(-{INF})",
+     "rule 'Sums gather' failed at agent 0: agent index -inf out of range for 'theta'"),
+    ("flocking", f"sumcos({INF})", "1",
+     "rule 'Sums gather' failed at agent 0: agent index inf out of range for 'sumcos'"),
+]
+
+
 def test_out_of_range_vertex_index_exits_2_with_one_line(tmp_path, capsys):
-    model = json.loads((LIBRARY / "models/voter_model.json").read_text())
-    model["rules"]["gather"][0]["algorithm"] = [
-        {"do": "assign", "target": "acc($cv)", "expr": "$lnoe_in(-1)"}]
-    (tmp_path / "docs").mkdir()
-    (tmp_path / "docs" / "voter_model.json").write_text(json.dumps(model))
-    params = write_params(tmp_path, "time_steps = 1\n")
-    assert cli("--docs", str(tmp_path / "docs"), "run",
-               str(LIBRARY / "problems/voter_problem.json"),
-               "--params", params, "-o", str(tmp_path / "o")) == 2
-    err = capsys.readouterr().err
-    assert err == ("error: rule 'Acc gather 1' failed at vertex 0: "
-                   "vertex index -1 out of range for '$lnoe_in'\n")
+    for k, (kind, target, value, message) in enumerate(BAD_INDICES):
+        model = json.loads((LIBRARY / f"models/{kind}_model.json").read_text())
+        model["rules"]["gather"][0]["algorithm"] = [
+            {"do": "assign", "target": target, "expr": value}]
+        docs_dir = tmp_path / f"docs{k}"
+        docs_dir.mkdir()
+        (docs_dir / f"{kind}_model.json").write_text(json.dumps(model))
+        params = write_params(tmp_path, "time_steps = 1\nn_agents = 8\n")
+        assert cli("--docs", str(docs_dir), "run", str(LIBRARY / f"problems/{kind}_problem.json"),
+                   "--params", params, "-o", str(tmp_path / f"o{k}")) == 2, value
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def wave_with_initial_condition(tmp_path, statements):
+    doc = json.loads(Path(WAVE_PROBLEM).read_text())
+    doc["region"]["initial_condition"] = statements
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(doc))
+    return str(problem)
+
+
+@pytest.mark.parametrize("draw", ["", " + 0 * $rnd_uniform"], ids=["plain", "draws"])
+@pytest.mark.parametrize("value,message", [
+    ("1 / (x - x)", "division by zero in '(1 / (x - x))'"),
+    ("exp(x * 10000)", "exp fault: math range error in 'exp((x * 10000))'"),
+])
+def test_grid_initial_condition_fault_does_not_depend_on_draws(
+        tmp_path, capsys, value, message, draw):
+    problem = wave_with_initial_condition(tmp_path, [
+        {"do": "assign", "target": "phi", "expr": value + draw},
+        {"do": "assign", "target": "K", "expr": "0"}])
+    params = write_params(tmp_path, "dt = 0.005\ncells = 8\ntend = 0.01\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli("--docs", str(LIBRARY), "run", problem, "--policy", WAVE_POLICY,
+                   "--params", params, "-o", str(tmp_path / "o")) == 2
+    assert caught == []
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("statement", [
+    {"do": "assign", "target": "phi", "expr": "phi(3)"},
+    {"do": "assign", "target": "phi", "expr": "phi(3) + 0 * $rnd_uniform"},
+    {"do": "if", "cond": "K(0) > 1", "then": []},
+    {"do": "assign", "target": "K(0)", "expr": "1"},
+])
+def test_indexed_symbols_in_grid_initial_condition_rejected_by_validate(
+        tmp_path, capsys, statement):
+    doc = json.loads(Path(WAVE_PROBLEM).read_text())
+    problem = wave_with_initial_condition(
+        tmp_path, doc["region"]["initial_condition"] + [statement])
+    assert cli("--docs", str(LIBRARY), "validate", problem) == 1
+    assert "is not valid in a grid initial condition" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tag", ["iterate_over_vertices", "iterate_over_agents",

@@ -118,6 +118,16 @@ class TestEvaluation:
         with pytest.raises(EvaluationError):
             ev("sqrt(x)", x=-1.0)
 
+    @pytest.mark.parametrize("text,message", [
+        ("exp(x * 1000)", "exp fault: math range error in 'exp((x * 1000))'"),
+        ("sin(x * 1e308 * 10)", "sin fault: math domain error in 'sin(((x * 1e+308) * 10))'"),
+        ("floor(x * 1e308 * 10)", "floor fault: cannot convert float infinity to integer"),
+    ])
+    def test_math_faults_are_evaluation_errors(self, text, message):
+        with pytest.raises(EvaluationError) as err:
+            ev(text, x=1.0)
+        assert str(err.value).startswith(message)
+
     def test_comparison_yields_float(self):
         assert ev("3 > 2") == 1.0
         assert ev("3 != 3") == 0.0

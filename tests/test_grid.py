@@ -1,16 +1,20 @@
 """Grid runtime: halos, initial data, stencil application, VTK, time loop."""
 
+import contextlib
 import logging
 
 import numpy as np
 import pytest
 
+from simflow import algorithm as alg
 from simflow import documents as docs
+from simflow import expr
 from simflow import grid as gridmod
 from simflow import kernel, library_path
 from simflow.params import RunConfig
 from simflow.stencils import (Stencil, StencilError, centered_stencil, fd_weights,
                               ko_dissipation)
+from test_lockstep import assert_bitwise_equal, interpreted
 
 
 def make_1d(n=4, halo=2):
@@ -156,27 +160,77 @@ def wave_setup(policy_name="policies/fourth_order.json"):
     return problem, prog
 
 
+def with_initial_condition(problem, statements):
+    obj = problem.to_json()
+    obj["region"]["initial_condition"] = statements
+    return docs.document_from_json(obj)
+
+
+def initial_fields(problem, prog, n, seed=0):
+    g = gridmod.make_grid(["x", "y"], [n, n], problem.region.domain, prog.halo)
+    g.allocate(prog.fields)
+    gridmod.apply_initial_conditions(g, problem, problem.parameter_values(), seed)
+    return g.data
+
+
 class TestInitialConditions:
-    def test_vectorized_matches_per_cell(self):
+    @pytest.mark.parametrize("kind", ["shipped", "branching"])
+    def test_compiled_matches_interpreter(self, kind, caplog):
         problem, prog = wave_setup()
-        params = problem.parameter_values()
+        if kind == "branching":
+            shipped = problem.to_json()["region"]["initial_condition"]
+            problem = with_initial_condition(problem, [
+                {"do": "assign", "target": "u", "expr": "$rnd_uniform"},
+                {"do": "if", "cond": "u < 0.5", "then": shipped, "else": [
+                    {"do": "assign", "target": "phi", "expr": "sin(x) * $rnd_int_1 + u"},
+                    {"do": "assign", "target": "K", "expr": "y ^ 2 - t"}]}])
+        caplog.set_level(logging.DEBUG, logger="simflow")
+        compiled = initial_fields(problem, prog, 101, seed=7)
+        assert not any("rerunning interpreted" in m for m in caplog.messages)
+        with interpreted():
+            reference = initial_fields(problem, prog, 101, seed=7)
+        assert_bitwise_equal(compiled, reference)
 
-        ga = gridmod.make_grid(["x", "y"], [12, 12], problem.region.domain, prog.halo)
-        ga.allocate(prog.fields)
-        gridmod.apply_initial_conditions(ga, problem, params)
+    def test_fault_keeps_the_writes_before_it(self):
+        # cell centres are -0.375, -0.125, 0.125, 0.375; row-major cell 2 faults
+        problem, prog = wave_setup()
+        problem = with_initial_condition(problem, [
+            {"do": "assign", "target": "phi", "expr": "x + 1"},
+            {"do": "assign", "target": "K", "expr": "1 / (y - 0.125)"}])
+        g = gridmod.make_grid(["x", "y"], [4, 4], problem.region.domain, prog.halo)
+        g.allocate(prog.fields)
+        with pytest.raises(expr.EvaluationError, match="division by zero"):
+            gridmod.apply_initial_conditions(g, problem, problem.parameter_values())
+        phi, K = g.interior(g.data["phi"]), g.interior(g.data["K"])
+        assert phi[0, :3].tolist() == [0.625] * 3 and K[0, :2].tolist() == [-2.0, -4.0]
+        assert not phi.ravel()[3:].any() and not K.ravel()[2:].any()
 
-        # force the interpreted per-cell path with a trivial conditional
-        obj = problem.to_json()
-        obj["region"]["initial_condition"] = [
-            {"do": "if", "cond": "(1 >= 0)",
-             "then": obj["region"]["initial_condition"], "else": []}]
-        wrapped = docs.document_from_json(obj)
-        gb = gridmod.make_grid(["x", "y"], [12, 12], problem.region.domain, prog.halo)
-        gb.allocate(prog.fields)
-        gridmod.apply_initial_conditions(gb, wrapped, params)
+    @pytest.mark.parametrize("target,value,message", [
+        ("phi", "phi(3)", "indexed symbol 'phi' is not valid"),
+        ("phi", "x($rnd_int_1)", "indexed symbol 'x' is not valid"),
+        ("K(0)", "1", "indexed writes are not valid"),
+        ("x", "1", "write to undeclared field 'x'"),
+    ])
+    def test_invalid_access_faults_like_the_interpreter(self, target, value, message):
+        # validation rejects indexed symbols; run unvalidated, both paths must refuse
+        problem, prog = wave_setup()
+        problem = with_initial_condition(problem, [
+            {"do": "assign", "target": "K", "expr": "0"},
+            {"do": "assign", "target": target, "expr": value}])
+        errors = []
+        for context in (contextlib.nullcontext, interpreted):
+            with context(), pytest.raises((expr.EvaluationError, alg.AlgorithmError)) as err:
+                initial_fields(problem, prog, 4)
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1]
+        assert message in errors[0][1]
 
-        for f in prog.fields:
-            assert np.array_equal(ga.data[f], gb.data[f])
+    def test_initial_condition_logs_compiled(self, caplog):
+        problem, prog = wave_setup()
+        caplog.set_level(logging.DEBUG, logger="simflow")
+        initial_fields(problem, prog, 8)
+        assert [m for m in caplog.messages if m.startswith("initial condition")] == [
+            "initial condition: compiled"]
 
     def test_gaussian_peak_at_origin(self):
         problem, prog = wave_setup()
@@ -320,12 +374,12 @@ class TestTimeLoop:
     def test_non_finite_initial_data_reported_at_step_0(self, tmp_path):
         problem, prog = wave_setup()
         obj = problem.to_json()
-        obj["region"]["initial_condition"][0]["expr"] = "a / (x - x)"
+        # overflows to inf without a fault (a zero divisor would fault)
+        obj["region"]["initial_condition"][0]["expr"] = "a * 1e308 * 10"
         bad = docs.document_from_json(obj)
         config = RunConfig({"dt": 0.005, "cells": 20, "t_end": 0.04},
                            output_dir=tmp_path / "nan")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(gridmod.GridRuntimeError,
-                               match="non-finite values in field 'phi' at step 0"):
-                gridmod.run(bad, prog, config)
+        with pytest.raises(gridmod.GridRuntimeError,
+                           match="non-finite values in field 'phi' at step 0"):
+            gridmod.run(bad, prog, config)
         assert not (tmp_path / "nan").exists()

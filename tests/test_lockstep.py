@@ -22,6 +22,7 @@ from simflow import agents as ag
 from simflow import algorithm as alg
 from simflow import documents as docs
 from simflow import graphs, library_path, lockstep
+from simflow import grid as gridmod
 from simflow.params import RunConfig
 
 LIBRARY = library_path()
@@ -180,6 +181,9 @@ FAMILIES = {
         partner=["a($na)", "x($na)", "$na", "b($na) - b($ca)"],
         targets=["a($ca)", "b($ca)", "x($ca)", "y"],
         loop={"do": "iterate_over_interactions"}),
+    # grid initial conditions: fields and coordinates, no neighbour loops
+    "grid": SimpleNamespace(
+        own=["a", "b", "x", "y", "tau"], partner=[], targets=["a", "b"], loop=None),
 }
 
 
@@ -240,8 +244,10 @@ def blocks(draw, family, depth, in_loop=False, gather=True):
 def symbol_table(family):
     table = {"a": "field", "b": "field", "p": "parameter"}
     table.update({name: "local" for name in LOCALS + ["i1", "i2"]})
-    if family == "spatial":
+    if family != "graph":
         table.update({"x": "coordinate", "y": "coordinate"})
+    if family == "grid":
+        table["tau"] = "coordinate"
     return table
 
 
@@ -351,3 +357,46 @@ def test_generated_initial_conditions_match_interpreter(program):
     problem = SimpleNamespace(properties=["a", "b"], initial_condition=rule.algorithm)
     check_against_interpreter(
         lambda: graphs.initialize_properties(g, problem, {"p": 0.75}, seed=seed))
+
+
+@GENERATED
+@given(st.data())
+def test_generated_grid_initial_conditions_match_interpreter(data):
+    body = data.draw(blocks("grid", 2, gather=False))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    problem = SimpleNamespace(
+        region=SimpleNamespace(initial_condition=alg.algorithm_from_json(
+            body, symbol_table("grid"))),
+        time_coord="tau")
+    rng = np.random.default_rng(seed)
+    initial = {"a": rng.uniform(-2, 2, (7, 6)), "b": rng.integers(-1, 3, (7, 6)).astype(float)}
+
+    def run():
+        g = gridmod.make_grid(["x", "y"], [5, 4], {"x": (-1.0, 1.5), "y": (0.0, 2.0)}, 1)
+        g.data = {k: v.copy() for k, v in initial.items()}
+        return keep_arrays(
+            lambda: gridmod.apply_initial_conditions(g, problem, {"p": 0.75}, seed), g.data)
+    check_against_interpreter(run)
+
+
+def test_negative_base_to_fractional_power_falls_back(caplog):
+    # lanes with a < 0 take a complex power, which the interpreter rejects
+    algorithm = alg.algorithm_from_json(
+        [{"do": "assign", "target": "b($cv)", "expr": "a($cv) ^ 0.5"}], symbol_table("graph"))
+    rule = SimpleNamespace(name="r", kind="update", algorithm=algorithm)
+    model = SimpleNamespace(execution_order=["r"], rule_by_name={"r": rule}.get)
+    g = graphs.Graph(3, [], directed=True)
+    caplog.set_level(logging.DEBUG, logger="simflow")
+    outcomes = []
+    for context in (contextlib.nullcontext, interpreted):
+        live = {"a": np.array([4.0, -1.0, 9.0]), "b": np.zeros(3)}
+        with context(), pytest.raises(graphs.GraphError) as err:
+            graphs.step_graph(g, model, live, {}, step=0)
+        outcomes.append((str(err.value), live))
+    assert outcomes[0][0] == outcomes[1][0] == (
+        "rule 'r' failed at vertex 1: "
+        "power of negative base to fractional exponent in '(a($cv) ^ 0.5)'")
+    assert_bitwise_equal(outcomes[0][1], outcomes[1][1])
+    assert list(outcomes[0][1]["b"]) == [2.0, 0.0, 0.0]
+    assert fallbacks(caplog.records) == [
+        "rule 'r': TypeError in pow in compiled run, rerunning interpreted"]
