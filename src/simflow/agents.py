@@ -378,9 +378,10 @@ def _write_snapshot(agents, out_dir, step):
     names = agents.coords + [p for p in agents.props if p not in agents.coords]
     path = out_dir / f"agents_{step}.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
+    # float ids print exactly through %d below 2**53 agents
+    table = np.column_stack([np.arange(agents.n, dtype=np.float64)]
+                            + [agents.props[p] for p in names])
+    body = (("%d" + ",%.17g" * len(names) + "\n") * agents.n) % tuple(table.ravel().tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("id," + ",".join(names) + "\n")
-        for a in range(agents.n):
-            row = ",".join(format(float(agents.props[p][a]), ".17g") for p in names)
-            fh.write(f"{a},{row}\n")
+        fh.write("id," + ",".join(names) + "\n" + body)
     return path

@@ -153,12 +153,15 @@ def _cmd_run(args):
         model = _resolve_model(doc, docs_dir)
         _, kernel = build_kernel(doc, policy, model)
         report = run_grid(doc, kernel, config)
-    elif isinstance(doc, docs.AbmProblem) and doc.family == "graph":
-        model = _resolve_model(doc, docs_dir)
-        report = run_graph_problem(doc, model, config)
     elif isinstance(doc, docs.AbmProblem):
         model = _resolve_model(doc, docs_dir)
-        report = run_spatial_problem(doc, model, config)
+        errors = [d for d in docs.validate(doc, docs_dir=docs_dir) + docs.validate(model)
+                  if d.severity == "error"]
+        if errors:
+            _print_diagnostics(errors, False)
+            return EXIT_INVALID
+        runner = run_graph_problem if doc.family == "graph" else run_spatial_problem
+        report = runner(doc, model, config)
     else:
         raise docs.DocumentError(f"document kind '{doc.kind}' is not runnable")
     print(json.dumps(report.to_json(), indent=2))

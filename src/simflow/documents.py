@@ -626,8 +626,8 @@ def document_from_json(obj):
     errors = [d for d in diags if d.severity == "error"]
     if errors:
         raise DocumentFormatError(
-            "document contains invalid expressions:\n"
-            + "\n".join(str(d) for d in errors), errors)
+            "document contains invalid expressions: "
+            + "; ".join(str(d) for d in errors), errors)
     return doc
 
 

@@ -149,7 +149,11 @@ def _tokenize(text):
                 break
             raise ParseError(f"unexpected character '{rest[0]}'", pos)
         if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num")), m.start("num")))
+            value = float(m.group("num"))
+            if not math.isfinite(value):
+                raise ParseError(f"numeric literal '{m.group('num')}' is not finite",
+                                 m.start("num"))
+            tokens.append(("num", value, m.start("num")))
         elif m.lastgroup == "name":
             tokens.append(("name", m.group("name"), m.start("name")))
         else:
@@ -295,9 +299,19 @@ def parse_expression(text, symbols):
 
 
 def _fmt_number(v):
-    if v == math.floor(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == math.floor(v):  # false for inf and nan
         return str(int(v))
     return repr(float(v))  # shortest exact round-trip form
+
+
+def _number_objects(values):
+    """Python numbers whose ``str`` is :func:`_fmt_number` of each value of
+    a float array: ints where it prints through ``int``, floats (``str`` is
+    ``repr``) elsewhere."""
+    out = values.astype(object)
+    integral = (np.abs(values) < 1e16) & (values == np.floor(values))
+    out[integral] = values[integral].astype(np.int64).astype(object)
+    return out
 
 
 def to_text(e):

@@ -11,19 +11,30 @@ Rules and the initial condition run compiled over all vertices at once
 runs an algorithm the compiler refuses and reruns a rule in which a vertex
 faults, so errors name the vertex.  Randomness is keyed on (seed, phase, step, rule
 index, vertex), never on call order across vertices.
+
+Graph generation reads one keyed stream per seed: draw ``k`` is
+``keyed_uniform(seed, _PHASE_GRAPH, k)``, the ``k``-th draw of
+``DrawStream(seed, _PHASE_GRAPH)``.  A random graph with ``min_in_degree``
+1 gives target vertex ``t`` the source ``int(u_t * (v - 1))``, skipping
+``t``, from draws 0..v-1.  The fill pass then takes candidate pairs from
+the following draws, the even one of each pair picking the source from
+``v`` vertices and the odd one the target from the other ``v - 1``, and
+keeps a candidate when its edge is not yet in the graph.  It draws the
+candidates in batches with :func:`keyed_uniform_array` and accepts them
+in order, so the edges are those of a draw-by-draw loop.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from pathlib import Path
 
 import numpy as np
 
 from . import algorithm as alg
 from . import expr, lockstep
-from .expr import _fmt_number
-from .rng import DrawStream, keyed_int
+from .rng import DrawStream, keyed_int, keyed_uniform_array
 
 _PHASE_INIT = 1
 _PHASE_GRAPH = 2
@@ -46,16 +57,13 @@ class Graph:
         self.n = int(n_vertices)
         self.directed = bool(directed)
         self.edges = [(int(s), int(t)) for s, t in edges]
-        self.in_edges = [[] for _ in range(self.n)]
-        self.out_edges = [[] for _ in range(self.n)]
-        for i, (s, t) in enumerate(self.edges):
-            if not (0 <= s < self.n and 0 <= t < self.n):
-                raise GraphError(f"edge {i} = ({s}, {t}) references a missing vertex")
-            self.out_edges[s].append(i)
-            self.in_edges[t].append(i)
-            if not self.directed and s != t:
-                self.out_edges[t].append(i)
-                self.in_edges[s].append(i)
+        sources, targets = self.edge_arrays
+        missing = np.flatnonzero((np.minimum(sources, targets) < 0)
+                                 | (np.maximum(sources, targets) >= self.n))
+        if len(missing):
+            i = int(missing[0])
+            s, t = self.edges[i]
+            raise GraphError(f"edge {i} = ({s}, {t}) references a missing vertex")
 
     @property
     def n_edges(self):
@@ -64,20 +72,52 @@ class Graph:
     @functools.cached_property
     def edge_arrays(self):
         """(sources, targets) as integer arrays indexed by edge."""
-        pairs = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        flat = itertools.chain.from_iterable(self.edges)
+        pairs = np.fromiter(flat, np.int64, 2 * self.n_edges).reshape(-1, 2)
         return pairs[:, 0], pairs[:, 1]
+
+    @functools.cached_property
+    def dot_edges(self):
+        """The edge lines of :func:`write_dot`; the same for every step."""
+        arrow = "->" if self.directed else "--"
+        return (f"  %d {arrow} %d;\n" * self.n_edges) % tuple(
+            itertools.chain.from_iterable(self.edges))
 
     @functools.cached_property
     def csr(self):
         """Adjacency as CSR arrays ``(indptr, edge indices)`` by direction,
         each vertex's edges in creation order."""
-        out = {}
-        for direction, lists in (("in", self.in_edges), ("out", self.out_edges)):
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum([len(lst) for lst in lists], out=indptr[1:])
-            index = np.fromiter((e for lst in lists for e in lst), np.int64, int(indptr[-1]))
-            out[direction] = (indptr, index)
-        return out
+        sources, targets = self.edge_arrays
+        ids = np.arange(self.n_edges, dtype=np.int64)
+        if self.directed:
+            return {"in": self._csr(targets, ids), "out": self._csr(sources, ids)}
+        # both ends own an edge, a self loop once; in and out are the same
+        other = sources != targets
+        both = self._csr(np.concatenate([sources, targets[other]]),
+                         np.concatenate([ids, ids[other]]))
+        return {"in": both, "out": both}
+
+    def _csr(self, owner, edge):
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=self.n), out=indptr[1:])
+        # sorting the keys owner * E + edge orders by owner, then edge
+        span = max(self.n_edges, 1)
+        return indptr, np.sort(owner * span + edge) % span
+
+    @functools.cached_property
+    def in_edges(self):
+        """Per vertex, the list of its incoming edge indices."""
+        return self._edge_lists("in")
+
+    @functools.cached_property
+    def out_edges(self):
+        """Per vertex, the list of its outgoing edge indices."""
+        return self._edge_lists("out")
+
+    def _edge_lists(self, direction):
+        indptr, index = self.csr[direction]
+        flat, bounds = index.tolist(), indptr.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def endpoints(self, edge, vertex=None):
         """(source, target) of an edge; for undirected graphs the pair is
@@ -106,51 +146,63 @@ def generate_graph(spec, seed=0):
     v = int(spec.vertices)
     if v <= 0:
         raise GraphError("graph generation needs a positive vertex count")
-    stream = DrawStream(seed, _PHASE_GRAPH)
+    keys = (seed, _PHASE_GRAPH)
     if spec.distribution == "circular":
         edges = [(i, (i + 1) % v) for i in range(v)]
     elif spec.distribution == "random":
         edges = _random_edges(v, int(spec.edges), int(spec.min_in_degree),
-                              spec.directed, stream)
+                              spec.directed, keys)
     elif spec.distribution == "scale_free":
-        edges = _preferential_edges(v, int(spec.attach), stream)
+        edges = _preferential_edges(v, int(spec.attach), DrawStream(*keys))
     else:
         raise GraphError(f"unknown graph distribution '{spec.distribution}'")
     return Graph(v, edges, spec.directed)
 
 
-def _edge_key(s, t, directed):
-    return (s, t) if directed else (min(s, t), max(s, t))
+def _edge_keys(s, t, v, directed):
+    """One integer per edge; equal exactly for the same simple edge."""
+    if directed:
+        return s * v + t
+    return np.minimum(s, t) * v + np.maximum(s, t)
 
 
-def _random_edges(v, e, min_in_degree, directed, stream):
+def _random_edges(v, e, min_in_degree, directed, keys):
+    """Distinct edges without self loops, drawn from the keyed stream
+    ``keys`` as the module docstring describes."""
     if v < 2:
         raise GraphError("random graphs need at least two vertices")
     max_edges = v * (v - 1) if directed else v * (v - 1) // 2
     if e > max_edges:
         raise GraphError(f"{e} edges do not fit in a simple graph on {v} vertices")
-    edges = []
-    seen = set()
+    sources = np.zeros(0, dtype=np.int64)
+    targets = np.zeros(0, dtype=np.int64)
+    counter = 0
     if min_in_degree >= 1:
         if e < v:
             raise GraphError(f"min_in_degree 1 needs at least {v} edges, got {e}")
         # one incoming edge per vertex first, then fill with random pairs
-        for t in range(v):
-            s = stream.int_below(v - 1)
-            if s >= t:
-                s += 1
-            edges.append((s, t))
-            seen.add(_edge_key(s, t, directed))
-    while len(edges) < e:
-        s = stream.int_below(v)
-        t = stream.int_below(v - 1)
-        if t >= s:
-            t += 1
-        key = _edge_key(s, t, directed)
-        if key not in seen:
-            seen.add(key)
-            edges.append((s, t))
-    return edges
+        targets = np.arange(v, dtype=np.int64)
+        sources = (keyed_uniform_array(targets, *keys) * (v - 1)).astype(np.int64)
+        sources += sources >= targets
+        counter = v
+    seen = np.unique(_edge_keys(sources, targets, v, directed))
+    while len(sources) < e:
+        need = e - len(sources)
+        # enough candidates for ``need`` new edges at the current acceptance rate
+        batch = need * max_edges // (max_edges - len(seen)) + 16
+        u = keyed_uniform_array(np.arange(counter, counter + 2 * batch), *keys)
+        counter += 2 * batch
+        s = (u[0::2] * v).astype(np.int64)
+        t = (u[1::2] * (v - 1)).astype(np.int64)
+        t += t >= s
+        # a stable sort: ``first`` is the first candidate with each edge
+        found, first = np.unique(_edge_keys(s, t, v, directed), return_index=True)
+        new = ~np.isin(found, seen, assume_unique=True)
+        take = np.sort(first[new])[:need]
+        sources = np.concatenate([sources, s[take]])
+        targets = np.concatenate([targets, t[take]])
+        seen = np.union1d(seen, found[new])
+    return list(zip(sources.tolist(), targets.tolist()))
 
 
 def _preferential_edges(v, attach, stream):
@@ -212,18 +264,22 @@ def save_edge_list(graph, path):
 
 def write_dot(graph, properties, path):
     """Deterministic DOT dump; vertex labels list 'prop=value' pairs."""
-    arrow = "->" if graph.directed else "--"
-    lines = [("digraph" if graph.directed else "graph") + " {"]
     names = list(properties)
-    for v in range(graph.n):
-        label = ", ".join(f"{p}={_fmt_number(float(properties[p][v]))}" for p in names)
-        lines.append(f'  {v} [label="{label}"];' if names else f"  {v};")
-    for s, t in graph.edges:
-        lines.append(f"  {s} {arrow} {t};")
-    lines.append("}")
+    if names:
+        label = ", ".join(f"{p.replace('%', '%%')}=%s" for p in names)
+        columns = [np.arange(graph.n).astype(object)]
+        columns += [expr._number_objects(np.asarray(properties[p], dtype=np.float64))
+                    for p in names]
+        row = f'  %d [label="{label}"];\n'
+        values = np.column_stack(columns).ravel().tolist()
+    else:
+        row = "  %d;\n"
+        values = range(graph.n)
+    text = ("digraph {\n" if graph.directed else "graph {\n") \
+        + (row * graph.n) % tuple(values) + graph.dot_edges + "}\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,31 @@ class TestRunner:
             ag.run_spatial_problem(problem, model, config)
 
 
+def loop_write_snapshot(agents, out_dir, step):
+    """The per-row CSV writer that _write_snapshot replaced, as an oracle."""
+    names = agents.coords + [p for p in agents.props if p not in agents.coords]
+    path = out_dir / f"agents_{step}.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("id," + ",".join(names) + "\n")
+        for a in range(agents.n):
+            row = ",".join(format(float(agents.props[p][a]), ".17g") for p in names)
+            fh.write(f"{a},{row}\n")
+    return path
+
+
+@pytest.mark.parametrize("properties", [[], ["theta"], ["theta", "n", "w"]])
+def test_snapshot_matches_the_per_row_loop(tmp_path, properties):
+    values = np.array([-0.0, 5e-324, 0.1, 1e16, 9999999999999998.0, -3.0, math.inf,
+                       math.nan, -math.inf, 1 / 3, 1e-300, 12345.678])
+    agents = ag.AgentSet(len(values), ["x", "y"], {"x": (0, 1), "y": (0, 1)}, properties)
+    for k, p in enumerate(agents.props):
+        agents.props[p][:] = np.roll(values, k)
+    array_path = ag._write_snapshot(agents, tmp_path / "array", 3)
+    loop_path = loop_write_snapshot(agents, tmp_path, 3)
+    assert array_path.name == loop_path.name
+    assert array_path.read_bytes() == loop_path.read_bytes()
+
+
 def test_wrap_translation_leaves_neighbors_invariant():
     rng = np.random.default_rng(8)
     extents = np.array([10.0, 10.0])

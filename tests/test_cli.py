@@ -146,36 +146,47 @@ def test_workers_flag_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "w").exists()
 
 
+def docs_with_rule(tmp_path, kind, phase, statement):
+    """A documents directory holding the shipped model of ``kind`` with the
+    algorithm of its first ``phase`` rule replaced by ``statement``."""
+    model = json.loads((LIBRARY / f"models/{kind}_model.json").read_text())
+    model["rules"][phase][0]["algorithm"] = [statement]
+    docs_dir = tmp_path / "docs"
+    docs_dir.mkdir()
+    (docs_dir / f"{kind}_model.json").write_text(json.dumps(model))
+    return docs_dir
+
+
 FAULTS = {
     # a grid initial condition that faults while it runs
     "evaluation-error": ("wave", {"do": "assign", "target": "phi",
                                   "expr": "sqrt(-1 - $rnd_uniform)"},
                          "sqrt of negative value"),
-    # a spatial initial condition has no neighbor relation to iterate over
-    "phase-error": ("flocking", {"do": "iterate_over_interactions", "body": [
-        {"do": "assign", "target": "theta($ca)", "expr": "theta($na)"}]},
-        "iterate_over_interactions is not allowed in an initial condition"),
+    # an update rule reading another vertex through a computed index, which
+    # validation cannot tell from a read of the current vertex
+    "phase-error": ("voter", {"do": "assign", "target": "acc($cv)",
+                              "expr": "state(mod($cv + 1, $gnov))"},
+                    "update rule read property 'state' of another vertex"),
 }
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))
 def test_runtime_faults_exit_2_with_one_line(tmp_path, capsys, fault):
     kind, statement, message = FAULTS[fault]
-    doc = json.loads((LIBRARY / f"problems/{kind}_problem.json").read_text())
     if kind == "wave":
-        doc["region"]["initial_condition"] = [
+        problem = wave_with_initial_condition(tmp_path, [
             {"do": "assign", "target": "phi", "expr": "0"},
             {"do": "assign", "target": "K", "expr": "0"},
-            statement]
+            statement])
         params = write_params(tmp_path, "dt = 0.005\ncells = 8\ntend = 0.01\n")
-        extra = ["--policy", WAVE_POLICY]
+        docs_dir, extra = LIBRARY, ["--policy", WAVE_POLICY]
     else:
-        doc["initial_condition"].append(statement)
-        params = write_params(tmp_path, "time_steps = 1\nn_agents = 8\n")
+        docs_dir = docs_with_rule(tmp_path, kind, "update", statement)
+        problem = str(LIBRARY / f"problems/{kind}_problem.json")
+        params = write_params(tmp_path, "time_steps = 1\nnumber_of_vertices = 8\n"
+                                        "number_of_edges = 16\n")
         extra = []
-    problem = tmp_path / "problem.json"
-    problem.write_text(json.dumps(doc))
-    assert cli("--docs", str(LIBRARY), "run", str(problem), *extra,
+    assert cli("--docs", str(docs_dir), "run", problem, *extra,
                "--params", params, "-o", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -274,22 +285,81 @@ def test_entity_iteration_tags_rejected_by_validate(tmp_path, capsys, tag):
     assert f"unsupported tag '{tag}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("problem,tag", [
+NEIGHBOR_ITERATION_IN_INITIAL_CONDITION = [
     ("wave", "iterate_over_edges"),
     ("wave", "iterate_over_interactions"),
     ("voter", "iterate_over_interactions"),
     ("flocking", "iterate_over_interactions"),
     ("flocking", "iterate_over_edges"),
-])
-def test_neighbor_iteration_in_initial_condition_rejected_by_validate(
-        tmp_path, capsys, problem, tag):
+]
+
+
+def problem_with_initial_statement(tmp_path, problem, statement):
     doc = json.loads((LIBRARY / f"problems/{problem}_problem.json").read_text())
     ic = doc["region"] if problem == "wave" else doc
-    ic["initial_condition"].append({"do": tag, "body": []})
+    ic["initial_condition"].append(statement)
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
-    assert cli("--docs", str(LIBRARY), "validate", str(path)) == 1
+    return str(path)
+
+
+@pytest.mark.parametrize("problem,tag", NEIGHBOR_ITERATION_IN_INITIAL_CONDITION)
+def test_neighbor_iteration_in_initial_condition_rejected_by_validate(
+        tmp_path, capsys, problem, tag):
+    path = problem_with_initial_statement(tmp_path, problem, {"do": tag, "body": []})
+    assert cli("--docs", str(LIBRARY), "validate", path) == 1
     assert f"{tag} is not available in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem,tag", NEIGHBOR_ITERATION_IN_INITIAL_CONDITION)
+def test_neighbor_iteration_in_initial_condition_rejected_by_run(
+        tmp_path, capsys, problem, tag):
+    path = problem_with_initial_statement(tmp_path, problem, {"do": tag, "body": []})
+    if problem == "wave":
+        extra = ["--policy", WAVE_POLICY,
+                 "--params", write_params(tmp_path, "dt = 0.005\ncells = 8\ntend = 0.01\n")]
+    else:
+        extra = ["--params", write_params(tmp_path, "time_steps = 1\nn_agents = 8\n")]
+    assert cli("--docs", str(LIBRARY), "run", path, *extra, "-o", str(tmp_path / "o")) == 1
+    assert f"{tag} is not available in" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def read_dot_labels(path):
+    """{vertex: {property: value}} from the vertex lines of a DOT file."""
+    labels = {}
+    for line in path.read_text().splitlines():
+        head, sep, label = line.partition(' [label="')
+        if sep:
+            pairs = (kv.split("=") for kv in label.removesuffix('"];').split(", "))
+            labels[int(head)] = {k: float(v) for k, v in pairs}
+    return labels
+
+
+@pytest.mark.parametrize("value,label", [("1e308 * 10", "acc=inf"),
+                                         ("1e308 * 10 - 1e308 * 10", "acc=nan")])
+def test_non_finite_graph_property_is_written_to_dot(tmp_path, capsys, value, label):
+    docs_dir = docs_with_rule(tmp_path, "voter", "update",
+                              {"do": "assign", "target": "acc($cv)", "expr": value})
+    params = write_params(tmp_path, "time_steps = 2\nnumber_of_vertices = 10\n"
+                                    "number_of_edges = 20\n")
+    assert cli("--docs", str(docs_dir), "run", str(LIBRARY / "problems/voter_problem.json"),
+               "--params", params, "-o", str(tmp_path / "g")) == 0
+    last = tmp_path / "g" / "graph_2.dot"
+    assert f', {label}"];' in last.read_text()
+    labels = read_dot_labels(last)
+    assert sorted(labels) == list(range(10))
+    assert {f"acc={labels[v]['acc']!r}" for v in range(10)} == {label}
+
+
+@pytest.mark.parametrize("command", ["validate", "export-latex"])
+def test_overflowing_literal_is_rejected_with_one_line(tmp_path, capsys, command):
+    docs_dir = docs_with_rule(tmp_path, "voter", "update",
+                              {"do": "assign", "target": "acc($cv)", "expr": "1e400"})
+    assert cli(command, str(docs_dir / "voter_model.json")) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "numeric literal '1e400' is not finite" in err
 
 
 def test_export_latex(tmp_path, capsys):

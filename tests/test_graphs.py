@@ -1,6 +1,7 @@
 """Graph generation, DOT output, and the graph rule runtime."""
 
 import logging
+import math
 import re
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from simflow import documents as docs
 from simflow import expr, graphs, library_path
 from simflow.params import RunConfig
+from simflow.rng import DrawStream
 
 LIBRARY = library_path()
 
@@ -110,6 +112,94 @@ class TestDot:
                 edges.append((int(m.group(1)), int(m.group(2))))
         assert vertices == {v: float(v) for v in range(8)}
         assert edges == g.edges
+
+
+# ---------------------------------------------------------------------------
+# The array generator and writer against the per-draw and per-vertex loops
+# they replaced, kept here as oracles.
+
+def loop_random_edges(v, e, min_in_degree, directed, seed):
+    stream = DrawStream(seed, graphs._PHASE_GRAPH)
+
+    def key(s, t):
+        return (s, t) if directed else (min(s, t), max(s, t))
+
+    edges, seen = [], set()
+    if min_in_degree >= 1:
+        for t in range(v):
+            s = stream.int_below(v - 1)
+            if s >= t:
+                s += 1
+            edges.append((s, t))
+            seen.add(key(s, t))
+    while len(edges) < e:
+        s = stream.int_below(v)
+        t = stream.int_below(v - 1)
+        if t >= s:
+            t += 1
+        if key(s, t) not in seen:
+            seen.add(key(s, t))
+            edges.append((s, t))
+    return edges
+
+
+def loop_fmt_number(v):
+    if math.isfinite(v) and v == math.floor(v) and abs(v) < 1e16:
+        return str(int(v))
+    return repr(float(v))
+
+
+def loop_write_dot(graph, properties, path):
+    arrow = "->" if graph.directed else "--"
+    lines = [("digraph" if graph.directed else "graph") + " {"]
+    names = list(properties)
+    for v in range(graph.n):
+        label = ", ".join(f"{p}={loop_fmt_number(float(properties[p][v]))}" for p in names)
+        lines.append(f'  {v} [label="{label}"];' if names else f"  {v};")
+    for s, t in graph.edges:
+        lines.append(f"  {s} {arrow} {t};")
+    lines.append("}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# (vertices, edges, min_in_degree, directed); 30 vertices with every
+# possible edge makes the fill pass reject most candidates
+RANDOM_GRAPHS = [
+    (50, 120, 0, True), (50, 120, 0, False), (40, 60, 1, True), (40, 60, 1, False),
+    (200, 800, 1, True), (30, 870, 0, True), (30, 870, 1, True), (30, 435, 0, False),
+    (30, 435, 1, False), (2, 1, 0, True), (2, 2, 1, True), (5, 0, 0, True),
+]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("v,e,min_in,directed", RANDOM_GRAPHS)
+def test_random_edges_match_the_draw_stream_loop(v, e, min_in, directed, seed):
+    g = graphs.generate_graph(spec(distribution="random", vertices=v, edges=e,
+                                   min_in_degree=min_in, directed=directed), seed=seed)
+    assert g.edges == loop_random_edges(v, e, min_in, directed, seed)
+
+
+SPECIAL_VALUES = [-0.0, 5e-324, 0.1, 1e16, 9999999999999998.0, -3.0, math.inf, math.nan,
+                  -math.inf, -1e16, 2.5, 1e300, 0.0, 7.0, -9999999999999998.0, 1 / 3]
+
+
+def test_fmt_number_is_the_loop_rule():
+    for value in SPECIAL_VALUES:
+        assert expr._fmt_number(value) == loop_fmt_number(value)
+
+
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("names", [(), ("state",), ("state", "a%d")])
+def test_write_dot_matches_the_per_vertex_loop(tmp_path, directed, names):
+    n = len(SPECIAL_VALUES)
+    g = graphs.generate_graph(spec(distribution="random", vertices=n, edges=40,
+                                   directed=directed), seed=1)
+    values = np.array(SPECIAL_VALUES)
+    for step in range(2):  # the second call reuses the graph's edge block
+        properties = {p: np.roll(values, k + step) for k, p in enumerate(names)}
+        graphs.write_dot(g, properties, tmp_path / "array.dot")
+        loop_write_dot(g, properties, tmp_path / "loop.dot")
+        assert (tmp_path / "array.dot").read_bytes() == (tmp_path / "loop.dot").read_bytes()
 
 
 def voter_docs():
